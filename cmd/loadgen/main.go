@@ -238,6 +238,10 @@ type run struct {
 	hists         map[string]*hist
 }
 
+// hist returns the named latency histogram, creating it on first use. The
+// map is not synchronized: call it from the replay's own goroutine, before
+// the gateway goroutines start, and hand them the *hist (whose Observe is
+// safe for concurrent use).
 func (r *run) hist(name string) *hist {
 	h, ok := r.hists[name]
 	if !ok {
@@ -350,6 +354,8 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 		}
 	}
 
+	presenceLat, assignmentsLat := r.hist("presence"), r.hist("assignments")
+	reportLat, roundLat := r.hist("report"), r.hist("round")
 	r.start = time.Now()
 	for {
 		batch, err := r.reader.Next()
@@ -372,7 +378,7 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 			if err := gws[i].AnnouncePresence(users[i], t); err != nil {
 				return err
 			}
-			r.hist("presence").Observe(time.Since(start))
+			presenceLat.Observe(time.Since(start))
 			return nil
 		})
 		if err != nil {
@@ -391,7 +397,7 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 			if err != nil {
 				return err
 			}
-			r.hist("assignments").Observe(time.Since(start))
+			assignmentsLat.Observe(time.Since(start))
 			var reports []remote.BatchReport
 			var roundEps float64 // the sampled users' ε (uniform within a round)
 			for j, a := range as {
@@ -429,7 +435,7 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 			} else if err := gws[i].ReportBatch(t, reports); err != nil {
 				return err
 			}
-			r.hist("report").Observe(time.Since(start))
+			reportLat.Observe(time.Since(start))
 			sent[i] = int64(len(reports))
 			return nil
 		})
@@ -442,7 +448,7 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 		if err := co.Finalize(t, active); err != nil {
 			return fmt.Errorf("t=%d: %w", t, err)
 		}
-		r.hist("round").Observe(time.Since(roundStart))
+		roundLat.Observe(time.Since(roundStart))
 
 		if (t+1)%progressEvery == 0 {
 			st, err := co.Stats()
@@ -489,6 +495,7 @@ func (r *run) replayIngest(opts retrasyn.Options, maxPending int, report *benchR
 	in := service.New(fw, service.Options{MaxPendingEvents: maxPending})
 	shardEvents := make([][]trajectory.Event, r.gateways)
 
+	submitLat, sealLat, roundLat := r.hist("submit"), r.hist("seal"), r.hist("round")
 	r.start = time.Now()
 	for {
 		batch, err := r.reader.Next()
@@ -523,7 +530,7 @@ func (r *run) replayIngest(opts retrasyn.Options, maxPending int, report *benchR
 			if err := in.Submit(t, shardEvents[i]); err != nil {
 				return err
 			}
-			r.hist("submit").Observe(time.Since(start))
+			submitLat.Observe(time.Since(start))
 			return nil
 		})
 		if err != nil {
@@ -535,8 +542,8 @@ func (r *run) replayIngest(opts retrasyn.Options, maxPending int, report *benchR
 			in.Close()
 			return fmt.Errorf("t=%d: %w", t, err)
 		}
-		r.hist("seal").Observe(time.Since(start))
-		r.hist("round").Observe(time.Since(roundStart))
+		sealLat.Observe(time.Since(start))
+		roundLat.Observe(time.Since(roundStart))
 	}
 	if err := in.Close(); err != nil {
 		return err

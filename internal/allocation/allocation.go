@@ -70,8 +70,8 @@ type Strategy interface {
 }
 
 // epsilonFloor skips collection rounds whose budget would be so small that
-// the OUE variance dwarfs any signal (DESIGN.md §5.5). Expressed as a
-// fraction of the window budget ε.
+// the OUE variance dwarfs any signal. Expressed as a fraction of the window
+// budget ε.
 const epsilonFloor = 0.01
 
 // Adaptive is the paper's portion-based adaptive strategy (Eq. 10):

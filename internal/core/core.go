@@ -1,11 +1,19 @@
-// Package core assembles RetraSyn (paper Algorithm 1) on top of the staged
-// pipeline: per timestamp it decides the allocation, samples the reporting
-// users, and drives the Collector → Estimator → ModelUpdater → Synthesizer
-// stages of internal/pipeline. The package owns the glue the stages don't:
-// allocation strategy state, user lifecycle tracking, window accounting and
-// the privacy ledger. Both the budget-division and population-division
-// variants are provided, along with the paper's ablations (AllUpdate: no
-// DMU; NoEQ: no entering/quitting modelling).
+// Package core is the one implementation of RetraSyn's per-timestamp round
+// (paper Algorithm 1), split at the only seam the protocol has — reports
+// arrive between the two halves:
+//
+//	Plan    — ordering, roster recycle + registration, the allocation
+//	          decision with the bootstrap override, reporter sampling
+//	collect — the driver's part: local perturbation (ProcessTimestamp) or
+//	          reports arriving over the network (internal/remote.Curator)
+//	Close   — debias → DMU → tracker / window / ledger / roster bookkeeping
+//	          → synthesis step
+//
+// round.go holds both halves. The engine owns everything a round touches:
+// allocation strategy state, user lifecycle, window accounting, the privacy
+// ledger, the mobility model and the synthesizer. Both the budget-division
+// and population-division variants are provided, along with the paper's
+// ablations (AllUpdate: no DMU; NoEQ: no entering/quitting modelling).
 package core
 
 import (
@@ -162,11 +170,11 @@ type ComponentTimings = pipeline.Timings
 // RunStats aggregates an engine run.
 type RunStats = pipeline.RunStats
 
-// Engine is the streaming curator: the allocation / user-tracking glue of
-// Algorithm 1 wrapped around a staged internal/pipeline.Pipeline. Feed it
-// one timestamp at a time with ProcessTimestamp, or drive a whole recorded
-// stream with Run. Not safe for concurrent use; run one Engine per shard
-// under a pipeline.Coordinator for parallel streams.
+// Engine is the streaming curator: the state of Algorithm 1 and its round
+// (round.go). Feed it one timestamp at a time with ProcessTimestamp, drive a
+// whole recorded stream with Run, or — when reports come from elsewhere —
+// call the Plan and Close halves yourself. Not safe for concurrent use; run
+// one Engine per shard under a pipeline.Coordinator for parallel streams.
 type Engine struct {
 	opts Options
 	// space is the discretization currently in effect; it starts as
@@ -179,8 +187,13 @@ type Engine struct {
 	model      *mobility.Model
 	synth      *synthesis.Synthesizer
 	rng        *ldp.Source
-	pipe       pipeline.Pipeline
+
+	// The concrete stages of a round; collector is the in-process driver's
+	// (ProcessTimestamp), the other three run in Close for every driver.
+	collector  pipeline.Collector
+	estimator  pipeline.DebiasEstimator
 	updater    *pipeline.DMUUpdater
+	synthStage pipeline.SynthesisStage
 
 	budgetWin *allocation.BudgetWindow
 	dev       *allocation.DevTracker
@@ -188,13 +201,15 @@ type Engine struct {
 	users     *UserTracker
 	ledger    *allocation.Ledger
 
-	lastT int // last processed timestamp; -1 before the first
+	lastT int        // last planned timestamp; -1 before the first
+	open  *OpenRound // the round between Plan and Close; nil when idle
 	stats RunStats
 
 	// metrics/meter are the run-scoped instrumentation handles; both are nil
 	// (no-op) unless Options.Metrics was set. Never checkpointed.
-	metrics *pipeline.Metrics
-	meter   *allocation.Meter
+	metrics     *pipeline.Metrics
+	meter       *allocation.Meter
+	lastTimings pipeline.Timings // stats.Timings at the previous Close
 
 	// lastEstimates/lastSigRatio retain the most recent reported round's DP
 	// estimate vector (domain-indexed, shared with the dev tracker) and
@@ -205,23 +220,27 @@ type Engine struct {
 	lastSigRatio  float64
 	lastRoundT    int
 
-	// scratch buffer reused across timestamps
+	// scratch buffers reused across timestamps
 	sampleBuf []trajectory.Event
+	idBuf     []int
+	quitBuf   []int
 }
 
-// New creates an engine. The ledger capacity is sized lazily on first use
-// when ledgerT is 0.
-func New(opts Options) (*Engine, error) {
+// New creates an engine.
+func New(opts Options) (*Engine, error) { return newEngine(opts, 0x9e3779b97f4a7c15) }
+
+// NewWire creates the engine a networked curator drives through Plan and
+// Close. It differs from New only in the second word of the RNG seed pair:
+// the wire curator drew from its own stream when it still carried a private
+// copy of the round, and its releases stay bit-identical to those.
+func NewWire(opts Options) (*Engine, error) { return newEngine(opts, 0x6a09e667f3bcc908) }
+
+func newEngine(opts Options, rngStream uint64) (*Engine, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	var dom *transition.Domain
-	if opts.DisableEQ {
-		dom = transition.NewMoveOnlyDomain(opts.Space)
-	} else {
-		dom = transition.NewDomain(opts.Space)
-	}
-	rng := ldp.NewSource(opts.Seed, opts.Seed^0x9e3779b97f4a7c15)
+	dom := opts.domainOver(opts.Space)
+	rng := ldp.NewSource(opts.Seed, opts.Seed^rngStream)
 	synth, err := synthesis.New(opts.Space, synthesis.Options{
 		Lambda:             opts.Lambda,
 		DisableTermination: opts.DisableEQ,
@@ -231,28 +250,19 @@ func New(opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := mobility.NewModel(dom)
 	e := &Engine{
-		opts:  opts,
-		space: opts.Space,
-		dom:   dom,
-		model: model,
-		synth: synth,
-		rng:   rng,
-		dev:   allocation.NewDevTracker(opts.Kappa),
-		sig:   allocation.NewSigTracker(opts.Kappa),
-		lastT: -1,
+		opts:      opts,
+		synth:     synth,
+		rng:       rng,
+		estimator: pipeline.DebiasEstimator{Post: opts.PostProcess},
+		dev:       allocation.NewDevTracker(opts.Kappa),
+		sig:       allocation.NewSigTracker(opts.Kappa),
+		lastT:     -1,
 	}
+	e.rewire(opts.Space, dom, mobility.NewModel(dom), false)
 	e.bootFP = e.configFingerprint()
 	e.metrics = pipeline.NewMetrics(opts.Metrics, opts.MetricsShard)
 	e.meter = allocation.NewMeter(opts.Metrics, opts.W)
-	e.updater = &pipeline.DMUUpdater{Model: model, DisableDMU: opts.DisableDMU}
-	e.pipe = pipeline.Pipeline{
-		Collector:   newCollector(opts, dom, rng),
-		Estimator:   &pipeline.DebiasEstimator{Post: opts.PostProcess},
-		Updater:     e.updater,
-		Synthesizer: &pipeline.SynthesisStage{Model: model, Synth: synth, WaitForUsers: opts.DisableEQ},
-	}
 	if opts.Division == allocation.Budget {
 		e.budgetWin = allocation.NewBudgetWindow(opts.W)
 	} else {
@@ -263,6 +273,15 @@ func New(opts Options) (*Engine, error) {
 	// deadlocking the adaptive strategy at Dev = 0.
 	e.dev.Push(make([]float64, dom.Size()))
 	return e, nil
+}
+
+// domainOver builds the transition domain the options call for over sp:
+// movement-only under the NoEQ ablation, with enter/quit states otherwise.
+func (o *Options) domainOver(sp spatial.Discretizer) *transition.Domain {
+	if o.DisableEQ {
+		return transition.NewMoveOnlyDomain(sp)
+	}
+	return transition.NewDomain(sp)
 }
 
 // newCollector picks the collection stage for the configured oracle.
@@ -347,16 +366,16 @@ func (e *Engine) Relayout(sp spatial.Discretizer) error {
 	if sp == nil {
 		return fmt.Errorf("core: Relayout with a nil discretizer")
 	}
+	if e.open != nil {
+		// The open round's sample and partial aggregate index the current
+		// domain.
+		return fmt.Errorf("core: relayout while round %d is open — close it first", e.lastT)
+	}
 	mig, err := relayout.NewMigration(e.space, sp)
 	if err != nil {
 		return fmt.Errorf("core: relayout: %w", err)
 	}
-	var newDom *transition.Domain
-	if e.opts.DisableEQ {
-		newDom = transition.NewMoveOnlyDomain(sp)
-	} else {
-		newDom = transition.NewDomain(sp)
-	}
+	newDom := e.opts.domainOver(sp)
 	newFreq, err := mig.RemapFreqs(e.dom, newDom, e.model.Freqs())
 	if err != nil {
 		return fmt.Errorf("core: relayout: %w", err)
@@ -378,34 +397,25 @@ func (e *Engine) Relayout(sp spatial.Discretizer) error {
 }
 
 // rewire points the engine's layout-dependent plumbing — domain, model,
-// collector, DMU and synthesis stages — at a new discretization. Used by
-// Relayout (after migrating state) and by checkpoint restore (before
-// loading state vectors sized to the snapshot's layout).
+// collector, DMU and synthesis stages — at a discretization. Used by the
+// constructor, by Relayout (after migrating state) and by checkpoint restore
+// (before loading state vectors sized to the snapshot's layout).
 func (e *Engine) rewire(sp spatial.Discretizer, dom *transition.Domain, model *mobility.Model, bootstrapped bool) {
 	e.space = sp
 	e.dom = dom
 	e.model = model
 	e.lastEstimates = nil // indexed by the old domain; see LastReportedRound
+	e.collector = newCollector(e.opts, dom, e.rng)
 	e.updater = &pipeline.DMUUpdater{Model: model, DisableDMU: e.opts.DisableDMU}
 	e.updater.SetBootstrapped(bootstrapped)
-	e.pipe = pipeline.Pipeline{
-		Collector:   newCollector(e.opts, dom, e.rng),
-		Estimator:   &pipeline.DebiasEstimator{Post: e.opts.PostProcess},
-		Updater:     e.updater,
-		Synthesizer: &pipeline.SynthesisStage{Model: model, Synth: e.synth, WaitForUsers: e.opts.DisableEQ},
-	}
+	e.synthStage = pipeline.SynthesisStage{Model: model, Synth: e.synth, WaitForUsers: e.opts.DisableEQ}
 }
 
 // adoptSpace rebuilds the engine's layout-dependent state over sp without
 // migrating anything — the checkpoint-restore path, where the snapshot's
 // state vectors (already sized to sp's domain) are loaded right after.
 func (e *Engine) adoptSpace(sp spatial.Discretizer, generation int) {
-	var dom *transition.Domain
-	if e.opts.DisableEQ {
-		dom = transition.NewMoveOnlyDomain(sp)
-	} else {
-		dom = transition.NewDomain(sp)
-	}
+	dom := e.opts.domainOver(sp)
 	e.synth.Relayout(sp, nil)
 	e.rewire(sp, dom, mobility.NewModel(dom), false)
 	e.generation = generation
@@ -442,128 +452,6 @@ func (e *Engine) Synthetic(name string, T int) *trajectory.Dataset {
 	return e.synth.Dataset(name, T)
 }
 
-// ProcessTimestamp ingests the events of timestamp t (one transition state
-// per present user) and the publicly known active-user count, drives the
-// collection/DMU/synthesis pipeline, and returns what happened. Timestamps
-// must be strictly increasing; an out-of-order timestamp returns an error
-// and leaves the engine untouched.
-func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount int) (StepResult, error) {
-	if t <= e.lastT {
-		return StepResult{}, fmt.Errorf("core: ProcessTimestamp(%d) after timestamp %d — timestamps must be strictly increasing", t, e.lastT)
-	}
-	e.lastT = t
-	e.stats.Timestamps++
-
-	// Alg. 1 lines 7–9: register arrivals, recycle the t−w reporters.
-	if e.users != nil {
-		e.users.BeginTimestamp(t)
-		for _, ev := range events {
-			e.users.Register(ev.User)
-		}
-	}
-
-	pool := e.eligible(events)
-	decision := e.decide(t, len(pool))
-
-	ctx := &pipeline.StepContext{
-		T:           t,
-		ActiveCount: activeCount,
-		Decision:    decision,
-		Timings:     &e.stats.Timings,
-	}
-	ctx.Result.T = t
-	if decision.Report && len(pool) > 0 {
-		reporters := pool
-		if e.opts.Division == allocation.Population {
-			n := int(decision.Portion*float64(len(pool)) + 0.5)
-			if n < 1 {
-				// The strategy decided to collect; tiny pools still
-				// contribute one report so small deployments make progress
-				// (the per-user window invariant is enforced regardless).
-				n = 1
-			}
-			if n > len(pool) {
-				n = len(pool)
-			}
-			reporters = e.sampleEvents(pool, n)
-			ctx.Epsilon = e.opts.Epsilon
-		} else {
-			ctx.Epsilon = decision.Epsilon
-		}
-		ctx.Reporters = reporters
-		ctx.Result.Reported = true
-		ctx.Result.NumReporters = len(reporters)
-		ctx.Result.Epsilon = ctx.Epsilon
-		if e.ledger != nil {
-			ids := make([]int, len(reporters))
-			for i, ev := range reporters {
-				ids[i] = ev.User
-			}
-			ctx.LedgerIDs = ids
-		}
-	}
-
-	// Collector → Estimator → ModelUpdater → Synthesizer. Timings accumulate
-	// cumulatively inside the stages, so the per-step increment is the
-	// before/after delta.
-	before := e.stats.Timings
-	e.pipe.Step(ctx)
-	e.metrics.ObserveStep(ctx, pipeline.Sub(e.stats.Timings, before))
-	{
-		spent := 0.0
-		if ctx.Result.Reported {
-			spent = ctx.Epsilon
-		}
-		e.meter.Observe(spent, ctx.Result.NumReporters, len(pool))
-	}
-
-	// Post-step glue: round accounting, user lifecycle, window bookkeeping
-	// and the Eq. 9–10 trackers.
-	if ctx.Result.Reported {
-		e.stats.Rounds++
-		e.stats.TotalReports += ctx.Result.NumReporters
-		if e.users != nil {
-			for _, ev := range ctx.Reporters {
-				e.users.MarkReported(ev.User, t)
-			}
-		}
-		if e.ledger != nil {
-			e.ledger.RecordRound(t, ctx.Epsilon, ctx.LedgerIDs)
-		}
-	}
-
-	// Alg. 1 line 8 (after potential final q_j report): retire quitters.
-	if e.users != nil {
-		for _, ev := range events {
-			if ev.State.Kind == transition.Quit {
-				e.users.MarkQuitted(ev.User)
-			}
-		}
-	}
-
-	// Window accounting for budget division records actual expenditure.
-	if e.budgetWin != nil {
-		spent := 0.0
-		if ctx.Result.Reported {
-			spent = ctx.Epsilon
-		}
-		e.budgetWin.Record(spent)
-	}
-
-	e.sig.Push(ctx.SigRatio)
-	// Eq. 9 tracks the frequencies *collected* at recent timestamps: the
-	// deviation history advances only on reporting rounds. (Pushing the
-	// frozen model on silent timestamps would decay Dev to zero and
-	// permanently silence the adaptive strategy after a starved round.)
-	if ctx.Result.Reported {
-		e.dev.Push(ctx.Estimates)
-		e.lastEstimates = ctx.Estimates
-		e.lastSigRatio = ctx.SigRatio
-		e.lastRoundT = t
-	}
-	return ctx.Result, nil
-}
-
 // LastReportedRound returns the DP estimate vector (domain-indexed, shared —
 // treat as read-only), the significance ratio and the timestamp of the most
 // recent reported round. ok is false before the first reported round and
@@ -574,56 +462,4 @@ func (e *Engine) LastReportedRound() (estimates []float64, sigRatio float64, t i
 		return nil, 0, -1, false
 	}
 	return e.lastEstimates, e.lastSigRatio, e.lastRoundT, true
-}
-
-// eligible filters the timestamp's events down to sampleable ones: states
-// inside the domain (NoEQ drops enter/quit events) and — for population
-// division — users currently active.
-func (e *Engine) eligible(events []trajectory.Event) []trajectory.Event {
-	e.sampleBuf = e.sampleBuf[:0]
-	for _, ev := range events {
-		if _, ok := e.dom.Index(ev.State); !ok {
-			continue
-		}
-		if e.users != nil && !e.users.IsActive(ev.User) {
-			continue
-		}
-		e.sampleBuf = append(e.sampleBuf, ev)
-	}
-	return e.sampleBuf
-}
-
-// decide consults the strategy, bootstrapping the very first collection
-// round at 1/w resources when the adaptive strategy would stay silent
-// (Alg. 1 lines 1–5).
-func (e *Engine) decide(t, poolSize int) allocation.Decision {
-	ctx := allocation.Context{
-		T:            t,
-		W:            e.opts.W,
-		Epsilon:      e.opts.Epsilon,
-		Dev:          e.dev.Dev(),
-		SigRatioMean: e.sig.Mean(),
-	}
-	if e.budgetWin != nil {
-		ctx.WindowUsed = e.budgetWin.Used()
-	}
-	d := e.opts.Strategy.Decide(ctx)
-	if !e.updater.Bootstrapped() && poolSize > 0 && !d.Report {
-		if e.opts.Division == allocation.Budget {
-			return allocation.Decision{Report: true, Epsilon: e.opts.Epsilon / float64(e.opts.W)}
-		}
-		return allocation.Decision{Report: true, Portion: 1 / float64(e.opts.W)}
-	}
-	return d
-}
-
-// sampleEvents draws n events without replacement via partial
-// Fisher-Yates. The pool slice is permuted in place (it is the engine's
-// scratch buffer).
-func (e *Engine) sampleEvents(pool []trajectory.Event, n int) []trajectory.Event {
-	for i := 0; i < n; i++ {
-		j := i + e.rng.IntN(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return pool[:n]
 }

@@ -89,9 +89,13 @@ type EngineState struct {
 	Layout            *relayout.Layout `json:"layout,omitempty"`
 	LayoutFingerprint string           `json:"layout_fp,omitempty"`
 
-	LastT int      `json:"last_t"`
-	Stats RunStats `json:"stats"`
-	RNG   []byte   `json:"rng"`
+	LastT int `json:"last_t"`
+	// Open is the round between Plan and Close, when the snapshot was taken
+	// inside one (only drivers that collect over the network ever do; older
+	// checkpoints simply lack the field).
+	Open  *OpenRound `json:"open,omitempty"`
+	Stats RunStats   `json:"stats"`
+	RNG   []byte     `json:"rng"`
 
 	Model        mobility.State `json:"model"`
 	Bootstrapped bool           `json:"bootstrapped"`
@@ -107,7 +111,8 @@ type EngineState struct {
 
 // Snapshot exports the engine's complete processing state. The snapshot is a
 // deep copy: continuing to process timestamps never mutates it. The engine
-// must be quiescent (no ProcessTimestamp in flight).
+// must be quiescent (no call in flight); a round may be open, in which case
+// the driver's own snapshot must carry what it collected so far.
 func (e *Engine) Snapshot() (*EngineState, error) {
 	rngState, err := e.rng.State()
 	if err != nil {
@@ -126,6 +131,10 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		Sig:          e.sig.State(),
 		Synth:        e.synth.State(),
 		Ledger:       e.ledger.Clone(),
+	}
+	if e.open != nil {
+		open := *e.open
+		st.Open = &open
 	}
 	if e.budgetWin != nil {
 		bw := e.budgetWin.State()
@@ -216,14 +225,22 @@ func (e *Engine) Restore(st *EngineState) error {
 	}
 	e.synth.Restore(st.Synth)
 	e.lastT = st.LastT
+	e.open = nil
+	if st.Open != nil {
+		open := *st.Open
+		e.open = &open
+	}
 	e.stats = st.Stats
+	// Stage-latency metrics are per-round deltas off the cumulative timings;
+	// re-baseline so the first post-restore round doesn't charge the donor's
+	// whole pre-checkpoint runtime as one observation.
+	e.lastTimings = st.Stats.Timings
 	e.ledger = st.Ledger.Clone()
 	return nil
 }
 
-// SnapshotState implements pipeline.Checkpointable: the engine state as an
-// opaque JSON blob, so the multi-shard Coordinator (and the facade) can
-// checkpoint shards without knowing the state layout.
+// SnapshotState exports the engine state as an opaque JSON blob, so the
+// facade can checkpoint its shards without knowing the state layout.
 func (e *Engine) SnapshotState() (json.RawMessage, error) {
 	st, err := e.Snapshot()
 	if err != nil {
@@ -232,7 +249,7 @@ func (e *Engine) SnapshotState() (json.RawMessage, error) {
 	return json.Marshal(st)
 }
 
-// RestoreState implements pipeline.Checkpointable.
+// RestoreState loads a blob written by SnapshotState.
 func (e *Engine) RestoreState(raw json.RawMessage) error {
 	var st EngineState
 	if err := json.Unmarshal(raw, &st); err != nil {

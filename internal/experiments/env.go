@@ -18,7 +18,7 @@ import (
 )
 
 // Params are the experiment-wide knobs; zero values select the defaults of
-// Table II (bold values) as documented in DESIGN.md.
+// the paper's Table II (bold values).
 type Params struct {
 	// Scale multiplies the standard datasets' populations (default 1.0; the
 	// benches use a small fraction).

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBinomialEdgeCases(t *testing.T) {
@@ -146,5 +147,36 @@ func TestNewRandDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different-seed generators produced identical streams")
+	}
+}
+
+// TestSourceStreamAndLayout: a Source draws the stream NewRand draws from the
+// same seed pair, resumes it exactly from an exported position, and keeps its
+// generator state inside its own single cache line.
+func TestSourceStreamAndLayout(t *testing.T) {
+	src, ref := NewSource(41, 43), NewRand(41, 43)
+	for i := 0; i < 100; i++ {
+		if a, b := src.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("draw %d: Source %#x, NewRand %#x", i, a, b)
+		}
+	}
+	pos, err := src.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewSource(0, 0)
+	if err := resumed.SetState(pos); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := resumed.IntN(1000), src.IntN(1000); a != b {
+			t.Fatalf("resumed draw %d: %d, want %d", i, a, b)
+		}
+	}
+	if got := unsafe.Sizeof(*src); got != sourceSize {
+		t.Fatalf("Source is %d bytes, want one %d-byte cache line", got, sourceSize)
+	}
+	if off := unsafe.Offsetof(src.pcg); off+unsafe.Sizeof(src.pcg) > sourceSize {
+		t.Fatalf("generator state at offset %d leaves the Source's line", off)
 	}
 }

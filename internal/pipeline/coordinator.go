@@ -1,20 +1,20 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"retrasyn/internal/spatial"
 	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
 )
 
 // Runner is one independent pipeline instance the Coordinator drives —
 // typically a core.Engine. Each Runner owns its own randomness, model and
-// synthesizer; the Coordinator never shares state between them.
+// synthesizer; the Coordinator never shares state between them. Whoever
+// built the runners checkpoints and migrates them (the facade holds its
+// engines directly); the Coordinator only fans timestamps out.
 type Runner interface {
 	ProcessTimestamp(t int, events []trajectory.Event, activeCount int) (StepResult, error)
 	Synthetic(name string, T int) *trajectory.Dataset
@@ -46,85 +46,6 @@ func NewCoordinator(shards []Runner) (*Coordinator, error) {
 		shards: shards,
 		bufs:   make([][]trajectory.Event, len(shards)),
 	}, nil
-}
-
-// NumShards returns P.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
-// Checkpointable is a Runner whose full processing state can be exported as
-// an opaque blob and restored later. The blob format belongs to the Runner;
-// the Coordinator only moves it around.
-type Checkpointable interface {
-	SnapshotState() (json.RawMessage, error)
-	RestoreState(json.RawMessage) error
-}
-
-// Snapshot exports every shard's state. All shards must be Checkpointable
-// and quiescent (no ProcessTimestamp in flight — the Coordinator's own
-// fan-out always is between calls).
-func (c *Coordinator) Snapshot() ([]json.RawMessage, error) {
-	states := make([]json.RawMessage, len(c.shards))
-	for i, sh := range c.shards {
-		cp, ok := sh.(Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: shard %d (%T) is not checkpointable", i, sh)
-		}
-		st, err := cp.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: snapshot shard %d: %w", i, err)
-		}
-		states[i] = st
-	}
-	return states, nil
-}
-
-// Restore loads per-shard states captured by Snapshot into the current
-// shards. The shard count must match the snapshot's.
-func (c *Coordinator) Restore(states []json.RawMessage) error {
-	if len(states) != len(c.shards) {
-		return fmt.Errorf("pipeline: restore with %d shard states onto %d shards", len(states), len(c.shards))
-	}
-	for i, sh := range c.shards {
-		cp, ok := sh.(Checkpointable)
-		if !ok {
-			return fmt.Errorf("pipeline: shard %d (%T) is not checkpointable", i, sh)
-		}
-		if err := cp.RestoreState(states[i]); err != nil {
-			return fmt.Errorf("pipeline: restore shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Relayouter is a Runner that can migrate onto a new spatial discretization
-// between timestamps — core.Engine implements it.
-type Relayouter interface {
-	Relayout(sp spatial.Discretizer) error
-}
-
-// Relayout is the coordinator-wide migration barrier: it switches every
-// shard onto the new discretization between two timestamps, so the whole
-// fleet is always on one layout and the merged release stays coherent. The
-// Coordinator is externally synchronized (no ProcessTimestamp runs
-// concurrently with Relayout), which makes the switch atomic with respect to
-// the stream. All shards are checked up front so an unsupported shard never
-// leaves the fleet half-migrated; a shard failing mid-switch is fatal to the
-// coordinator and reported as an error.
-func (c *Coordinator) Relayout(sp spatial.Discretizer) error {
-	rs := make([]Relayouter, len(c.shards))
-	for i, sh := range c.shards {
-		r, ok := sh.(Relayouter)
-		if !ok {
-			return fmt.Errorf("pipeline: shard %d (%T) does not support relayout", i, sh)
-		}
-		rs[i] = r
-	}
-	for i, r := range rs {
-		if err := r.Relayout(sp); err != nil {
-			return fmt.Errorf("pipeline: relayout shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // ShardOf maps a user ID onto its shard with a splitmix64 finalizer, so

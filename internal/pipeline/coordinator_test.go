@@ -222,63 +222,3 @@ func ExampleCoordinator() {
 	fmt.Println(syn.T == data.T, stats.Timestamps == data.T, len(syn.Trajs) > 0)
 	// Output: true true true
 }
-
-// stubRunner is a Runner without relayout support.
-type stubRunner struct{}
-
-func (stubRunner) ProcessTimestamp(t int, events []trajectory.Event, activeCount int) (pipeline.StepResult, error) {
-	return pipeline.StepResult{T: t}, nil
-}
-func (stubRunner) Synthetic(name string, T int) *trajectory.Dataset {
-	return &trajectory.Dataset{Name: name, T: T}
-}
-func (stubRunner) Stats() pipeline.RunStats { return pipeline.RunStats{} }
-
-// TestCoordinatorRelayoutBarrier migrates every engine shard onto a
-// layout-identical grid between timestamps: the switch must reach all
-// shards, stay mid-stream processable, and — per the identity-migration
-// invariant — leave the merged release bit-identical to a never-migrated
-// coordinator.
-func TestCoordinatorRelayoutBarrier(t *testing.T) {
-	g := testGrid()
-	data := walkDataset(g, 260, 24, 7, 77)
-	stream := trajectory.NewStream(data)
-	run := func(migrate bool) *trajectory.Dataset {
-		c := newCoordinator(t, g, 3, 500)
-		for ts := 0; ts < stream.T; ts++ {
-			if migrate && ts == stream.T/2 {
-				clone := grid.MustNew(4, g.Bounds())
-				if err := c.Relayout(clone); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := c.ProcessTimestamp(ts, stream.At(ts), stream.Active[ts]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c.Synthetic("merged", stream.T)
-	}
-	plain, migrated := run(false), run(true)
-	if fmt.Sprintf("%+v", plain) != fmt.Sprintf("%+v", migrated) {
-		t.Fatal("identity migration through the coordinator changed the merged release")
-	}
-
-	// Stats count one barrier fleet-wide, not one per shard.
-	c := newCoordinator(t, g, 3, 500)
-	if err := c.Relayout(grid.MustNew(4, g.Bounds())); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Relayouts; got != 1 {
-		t.Fatalf("coordinator stats report %d relayouts, want 1", got)
-	}
-
-	// A fleet with a non-migratable shard is rejected before any shard
-	// switches.
-	mixed, err := pipeline.NewCoordinator([]pipeline.Runner{stubRunner{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mixed.Relayout(g); err == nil {
-		t.Fatal("relayout accepted on a shard without migration support")
-	}
-}

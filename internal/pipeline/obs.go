@@ -6,11 +6,11 @@ import (
 	"retrasyn/internal/obs"
 )
 
-// Metrics is a shard-scoped bundle of pipeline series handles. Drivers
-// (internal/core.Engine, internal/remote.Curator) snapshot Timings around
-// each Step and hand the delta to ObserveStep, so stage latencies land in
-// per-stage histograms without the stages themselves knowing about the
-// registry. A nil *Metrics records nothing — the instrumentation-off mode.
+// Metrics is a shard-scoped bundle of pipeline series handles. core.Engine
+// hands every closed round's StepResult to ObserveStep, so stage latencies
+// land in per-stage histograms without the stages themselves knowing about
+// the registry. A nil *Metrics records nothing — the instrumentation-off
+// mode.
 type Metrics struct {
 	stageUserSide  *obs.Histogram
 	stageModel     *obs.Histogram
@@ -52,26 +52,25 @@ func NewMetrics(reg *obs.Registry, shard int) *Metrics {
 	}
 }
 
-// ObserveStep records one completed Step: delta is the Timings increment the
-// step charged (after minus before), ctx carries the step's result.
-func (m *Metrics) ObserveStep(ctx *StepContext, delta Timings) {
+// ObserveStep records one closed round.
+func (m *Metrics) ObserveStep(res StepResult) {
 	if m == nil {
 		return
 	}
-	m.stageUserSide.Observe(delta.UserSide)
-	m.stageModel.Observe(delta.ModelConstruction)
-	m.stageDMU.Observe(delta.DMU)
-	m.stageSynthesis.Observe(delta.Synthesis)
-	if ctx.Result.Reported {
+	m.stageUserSide.Observe(res.Stages.UserSide)
+	m.stageModel.Observe(res.Stages.ModelConstruction)
+	m.stageDMU.Observe(res.Stages.DMU)
+	m.stageSynthesis.Observe(res.Stages.Synthesis)
+	if res.Reported {
 		m.rounds.Inc()
-		m.reportCount.ObserveValue(int64(ctx.Result.NumReporters))
-		if ctx.Result.Packed {
-			m.reportsPacked.Add(int64(ctx.Result.NumReporters))
+		m.reportCount.ObserveValue(int64(res.NumReporters))
+		if res.Packed {
+			m.reportsPacked.Add(int64(res.NumReporters))
 		} else {
-			m.reportsSparse.Add(int64(ctx.Result.NumReporters))
+			m.reportsSparse.Add(int64(res.NumReporters))
 		}
-		m.sigRatio.Set(ctx.SigRatio)
-		m.significant.Set(float64(ctx.Result.NumSignificant))
+		m.sigRatio.Set(res.SigRatio)
+		m.significant.Set(float64(res.NumSignificant))
 	} else {
 		m.silent.Inc()
 	}

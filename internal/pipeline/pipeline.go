@@ -1,27 +1,26 @@
-// Package pipeline decomposes the RetraSyn per-timestamp loop (paper
-// Algorithm 1) into explicit, composable stages:
+// Package pipeline holds the stages of the RetraSyn per-timestamp round
+// (paper Algorithm 1) that internal/core's Plan/Close halves run:
 //
-//	Collector    — one frequency-oracle round over the sampled reporters
-//	Estimator    — debiasing (and optional post-processing) of the aggregate
-//	ModelUpdater — the DMU / AllUpdate refresh of the global mobility model
-//	Synthesizer  — the real-time synthetic-database step
+//	Collector       — one frequency-oracle round over the sampled reporters;
+//	                  the only pluggable stage (four implementations), used by
+//	                  the in-process driver — on the wire the reports arrive
+//	                  over the network instead
+//	DebiasEstimator — debiasing (and optional post-processing) of the aggregate
+//	DMUUpdater      — the DMU / AllUpdate refresh of the global mobility model
+//	SynthesisStage  — the real-time synthetic-database step
 //
-// A StepContext threads one timestamp's allocation decision, reporters,
-// estimates, ledger entries and timings through the stages. The same stages
-// back the in-process engine (internal/core), the networked curator
-// (internal/remote) and the multi-shard Coordinator, so sharding, batching
-// and alternative backends compose without touching the protocol logic.
+// A StepContext threads one round's reporters, aggregate, estimates and
+// timings through the stages. The package also holds the multi-shard
+// Coordinator, which fans a stream out over independent engines.
 //
-// Single-shard sequential execution is bit-identical to the original
-// monolithic engine: the stages consume the shared random source in exactly
-// the order the monolith did (sampling → perturbation/aggregate draw →
-// synthesis), which the core package's golden tests pin.
+// The stages consume the shared random source in a fixed order (sampling →
+// perturbation/aggregate draw → synthesis), which the core package's golden
+// tests pin.
 package pipeline
 
 import (
 	"time"
 
-	"retrasyn/internal/allocation"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/trajectory"
 )
@@ -41,7 +40,9 @@ type StepResult struct {
 	NumReporters   int
 	Epsilon        float64 // per-user budget spent by reporters
 	NumSignificant int     // |S*| of the DMU selection (domain size at init)
+	SigRatio       float64 // |S*|/|S| of the DMU selection (0 at init and when silent)
 	Packed         bool    // collection round used the bit-packed representation
+	Stages         Timings // wall time this round charged to each component
 }
 
 // Timings accumulates per-component wall time, matching the paper's Table V
@@ -77,27 +78,18 @@ func (s *RunStats) merge(o RunStats) {
 	s.Timings.Synthesis += o.Timings.Synthesis
 }
 
-// StepContext carries one timestamp through the stages. The driving engine
-// fills the allocation section before Step; the stages fill the rest.
+// StepContext carries one round through the stages. The driving engine fills
+// the reporters and budget; the stages fill the rest.
 type StepContext struct {
 	T           int
 	ActiveCount int // publicly known active-user count (synthesis target)
 
-	// Decision is the allocation strategy's raw verdict for this timestamp,
-	// carried for observability and for stages that need the allocation
-	// itself (portions, budgets). It is informational: whether the
-	// collection stages run is decided solely by Reporters being non-empty
-	// (Collecting()) — a Report decision over an empty pool stays silent.
-	Decision allocation.Decision
 	// Reporters are the sampled events whose transition states the
 	// Collector perturbs and aggregates; empty on silent timestamps.
 	Reporters []trajectory.Event
 	// Epsilon is the per-reporter budget of this round (the whole ε under
 	// population division, the strategy's ε_t under budget division).
 	Epsilon float64
-	// LedgerIDs are the reporting users whose expenditure the privacy
-	// ledger records for this round.
-	LedgerIDs []int
 
 	// Aggregate is the raw frequency-oracle aggregate the Collector
 	// produced.
@@ -117,9 +109,6 @@ type StepContext struct {
 	Timings *Timings
 }
 
-// Collecting reports whether this step runs a collection round.
-func (ctx *StepContext) Collecting() bool { return len(ctx.Reporters) > 0 }
-
 // Aggregate is the curator-side view of one collection round: enough to
 // debias frequencies, whatever the oracle protocol. ldp.Aggregator,
 // ldp.OLHAggregator and ldp.GRRAggregator all satisfy it.
@@ -134,40 +123,4 @@ type Aggregate interface {
 // ctx.Epsilon, leaving the raw aggregate and its variance in ctx.
 type Collector interface {
 	Collect(ctx *StepContext)
-}
-
-// Estimator turns the raw aggregate into the frequency-estimate vector the
-// model update consumes.
-type Estimator interface {
-	Estimate(ctx *StepContext)
-}
-
-// ModelUpdater refreshes the global mobility model from ctx.Estimates.
-type ModelUpdater interface {
-	Update(ctx *StepContext)
-}
-
-// Synthesizer advances the released synthetic database to ctx.T.
-type Synthesizer interface {
-	Step(ctx *StepContext)
-}
-
-// Pipeline chains the four stages for one stream. It is not safe for
-// concurrent use; the Coordinator runs one Pipeline-backed engine per shard.
-type Pipeline struct {
-	Collector   Collector
-	Estimator   Estimator
-	Updater     ModelUpdater
-	Synthesizer Synthesizer
-}
-
-// Step processes one timestamp: the collection stages run only when the
-// allocation decision sampled reporters; synthesis runs unconditionally.
-func (p *Pipeline) Step(ctx *StepContext) {
-	if ctx.Collecting() {
-		p.Collector.Collect(ctx)
-		p.Estimator.Estimate(ctx)
-		p.Updater.Update(ctx)
-	}
-	p.Synthesizer.Step(ctx)
 }

@@ -30,48 +30,6 @@ func testReporters(dom *transition.Domain, n int, seed uint64) []trajectory.Even
 	return events
 }
 
-// recorder is a stage spy shared across the four interfaces.
-type recorder struct {
-	log  *[]string
-	name string
-}
-
-func (r recorder) Collect(ctx *StepContext) {
-	*r.log = append(*r.log, r.name)
-	ctx.Aggregate = ldp.NewAggregator(ldp.MustOUE(4, 1))
-}
-func (r recorder) Estimate(ctx *StepContext) { *r.log = append(*r.log, r.name) }
-func (r recorder) Update(ctx *StepContext)   { *r.log = append(*r.log, r.name) }
-func (r recorder) Step(ctx *StepContext)     { *r.log = append(*r.log, r.name) }
-
-func TestPipelineStepOrder(t *testing.T) {
-	var log []string
-	p := Pipeline{
-		Collector:   recorder{&log, "collect"},
-		Estimator:   recorder{&log, "estimate"},
-		Updater:     recorder{&log, "update"},
-		Synthesizer: recorder{&log, "synthesize"},
-	}
-	ctx := &StepContext{T: 0, Timings: &Timings{}, Reporters: make([]trajectory.Event, 3)}
-	p.Step(ctx)
-	want := []string{"collect", "estimate", "update", "synthesize"}
-	if len(log) != len(want) {
-		t.Fatalf("stage log %v, want %v", log, want)
-	}
-	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("stage log %v, want %v", log, want)
-		}
-	}
-
-	// A silent timestamp runs synthesis only.
-	log = nil
-	p.Step(&StepContext{T: 1, Timings: &Timings{}})
-	if len(log) != 1 || log[0] != "synthesize" {
-		t.Fatalf("silent-step log %v, want [synthesize]", log)
-	}
-}
-
 func TestOUEPerUserCollectorShardingInvariance(t *testing.T) {
 	dom := testDomain()
 	reporters := testReporters(dom, 3000, 7)

@@ -11,8 +11,8 @@ import (
 )
 
 // Concrete stages. Each mirrors one section of the original monolithic
-// ProcessTimestamp, preserving the random-draw order exactly so single-shard
-// sequential runs stay bit-identical to the seed engine.
+// round, preserving the random-draw order exactly so single-shard sequential
+// runs stay bit-identical to the seed engine.
 
 // OUEPerUserCollector is the faithful per-user OUE path: every sampled
 // user's report is individually randomized, then the curator folds the
@@ -168,7 +168,7 @@ type DebiasEstimator struct {
 	Post ldp.PostProcess
 }
 
-// Estimate implements Estimator.
+// Estimate debiases ctx.Aggregate into ctx.Estimates.
 func (e *DebiasEstimator) Estimate(ctx *StepContext) {
 	start := time.Now()
 	ctx.Estimates = ctx.Aggregate.EstimateAll()
@@ -198,7 +198,7 @@ func (u *DMUUpdater) Bootstrapped() bool { return u.bootstrapped }
 // uses it to resume mid-stream without re-initializing the model.
 func (u *DMUUpdater) SetBootstrapped(v bool) { u.bootstrapped = v }
 
-// Update implements ModelUpdater.
+// Update refreshes the model from ctx.Estimates.
 func (u *DMUUpdater) Update(ctx *StepContext) {
 	start := time.Now()
 	est := ctx.Estimates
@@ -233,7 +233,7 @@ type SynthesisStage struct {
 	WaitForUsers bool
 }
 
-// Step implements Synthesizer.
+// Step advances the released synthetic database to ctx.T.
 func (s *SynthesisStage) Step(ctx *StepContext) {
 	start := time.Now()
 	snap := s.Model.Snapshot()

@@ -19,23 +19,29 @@
 // periodically via CuratorConfig.RediscretizeEvery, or on demand via
 // POST /v1/relayout — grows a fresh quadtree from the sketch and migrates
 // its live state onto it between rounds.
+//
+// The round itself — sampling, debiasing, the DMU, roster / window / ledger
+// bookkeeping, synthesis, migration — is internal/core's: the Curator drives
+// one core.Engine through its Plan and Close halves and keeps only what is
+// specific to the wire (presence sets, assignments, the open round's
+// aggregate, report validation).
 package remote
 
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
 	"retrasyn/internal/allocation"
+	"retrasyn/internal/core"
 	"retrasyn/internal/ldp"
-	"retrasyn/internal/mobility"
 	"retrasyn/internal/monitor"
 	"retrasyn/internal/obs"
 	"retrasyn/internal/pipeline"
 	"retrasyn/internal/relayout"
 	"retrasyn/internal/spatial"
-	"retrasyn/internal/synthesis"
 	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
 )
@@ -48,7 +54,9 @@ type CuratorConfig struct {
 	Space   spatial.Discretizer
 	Epsilon float64
 	W       int
-	// Division selects budget or population division (default population).
+	// Division selects budget or population division. The zero value is
+	// budget division; set allocation.Population for the variant the paper
+	// finds strongest.
 	Division allocation.Division
 	// Strategy defaults to the adaptive strategy for the division.
 	Strategy allocation.Strategy
@@ -88,20 +96,8 @@ func (c *CuratorConfig) validate() error {
 	if c.Space == nil {
 		return fmt.Errorf("remote: Space (the spatial discretization) is required")
 	}
-	if !(c.Epsilon > 0) {
-		return fmt.Errorf("remote: Epsilon must be > 0")
-	}
 	if c.W < 1 {
 		return fmt.Errorf("remote: W must be ≥ 1")
-	}
-	if !(c.Lambda > 0) {
-		return fmt.Errorf("remote: Lambda must be > 0")
-	}
-	if c.Kappa == 0 {
-		c.Kappa = 5
-	}
-	if c.Strategy == nil {
-		c.Strategy = allocation.NewAdaptive(c.Division)
 	}
 	if c.RediscretizeEvery < 0 {
 		return fmt.Errorf("remote: RediscretizeEvery must be ≥ 0, got %d", c.RediscretizeEvery)
@@ -131,14 +127,6 @@ func (c *CuratorConfig) validate() error {
 	return nil
 }
 
-// phase tracks the per-timestamp protocol state machine.
-type phase int
-
-const (
-	phaseIdle    phase = iota // accepting presence for the next timestamp
-	phasePlanned              // assignments fixed, accepting reports
-)
-
 // Assignment is the curator's answer to a sampled (or skipped) client.
 type Assignment struct {
 	Report  bool    `json:"report"`
@@ -148,161 +136,83 @@ type Assignment struct {
 // Curator is the server-side protocol engine. All methods are safe for
 // concurrent use (one mutex; handler work is short).
 type Curator struct {
-	cfg    CuratorConfig
-	bootFP CuratorFingerprint
-	dom    *transition.Domain
+	division allocation.Division
 
-	mu             sync.Mutex
-	space          spatial.Discretizer // layout currently in effect
-	generation     int                 // layout migrations applied so far
-	ctl            *relayout.Controller
-	t              int
-	phase          phase
+	mu sync.Mutex
+	// eng is the round core: timestamp ordering, roster, allocation
+	// trackers, ledger, mobility model, synthesizer and the RNG. A round is
+	// open — between Plan and Finalize — exactly while eng.Open() says so.
+	eng *core.Engine
+	ctl *relayout.Controller
+	mon *monitor.Monitor // utility sentinel; run-scoped like reg
+
+	// Wire state: who announced presence, and the open round's assignments
+	// and partial aggregate.
 	present        map[int]bool // users who announced presence for t
 	prevPresent    map[int]bool // presence at t−1, for quit inference
 	assignments    map[int]Assignment
-	epsRound       float64
 	agg            *ldp.Aggregator
 	oracle         *ldp.OUE
-	model          *mobility.Model
-	users          *UserRoster
-	dev            *allocation.DevTracker
-	sig            *allocation.SigTracker
-	budgetWin      *allocation.BudgetWindow
-	ledger         *allocation.Ledger
-	rng            *ldp.Source
-	rounds         int
-	reports        int
+	folded         []int // users whose report was folded into agg
+	foldedPacked   bool  // a packed batch was folded this round
 	presenceEvents int64
-
-	// The estimation / model-update / synthesis stages are shared with the
-	// in-process engine (internal/pipeline); only collection differs — here
-	// the reports arrive over the network.
-	estimator  *pipeline.DebiasEstimator
-	updater    *pipeline.DMUUpdater
-	synthStage *pipeline.SynthesisStage
-	timings    pipeline.Timings
+	idBuf          []int // Plan's pool scratch
 
 	// Observability (always on, run-scoped — never checkpointed). reg is the
-	// registry NewHandler serves at GET /metrics; lastTimings is the Timings
-	// snapshot at the previous Finalize, so each round's stage-latency delta
-	// (including report folds charged during ingestion) lands in histograms.
-	reg          *obs.Registry
-	metrics      curatorMetrics
-	mon          *monitor.Monitor // utility sentinel; run-scoped like reg
-	cellMassBuf  []float64        // CellMasses scratch, resized on relayout
-	logger       *slog.Logger
-	tracer       *slog.Logger
-	lastTimings  pipeline.Timings
-	roundPool    int // eligible users at the last Plan
-	roundSampled int // assignments issued at the last Plan
-	roundReports int // reports ingested since the last Plan
+	// registry NewHandler serves at GET /metrics; the engine records its
+	// stage-latency and budget series on it as shard 0.
+	reg     *obs.Registry
+	metrics curatorMetrics
+	logger  *slog.Logger
+	tracer  *slog.Logger
 }
-
-// UserRoster is the curator's view of user states; it reuses the engine's
-// tracker semantics via composition.
-type UserRoster struct {
-	w        int
-	status   map[int]uint8 // 0 active, 1 inactive, 2 quitted
-	reported [][]int
-}
-
-func newRoster(w int) *UserRoster {
-	return &UserRoster{w: w, status: make(map[int]uint8), reported: make([][]int, w)}
-}
-
-func (r *UserRoster) begin(t int) {
-	slot := t % r.w
-	for _, id := range r.reported[slot] {
-		if r.status[id] == 1 {
-			r.status[id] = 0
-		}
-	}
-	r.reported[slot] = r.reported[slot][:0]
-}
-
-func (r *UserRoster) register(id int) {
-	if _, ok := r.status[id]; !ok {
-		r.status[id] = 0
-	}
-}
-
-func (r *UserRoster) active(id int) bool { return r.status[id] == 0 }
-
-func (r *UserRoster) markReported(id, t int) {
-	r.status[id] = 1
-	r.reported[t%r.w] = append(r.reported[t%r.w], id)
-}
-
-func (r *UserRoster) markQuitted(id int) { r.status[id] = 2 }
 
 // NewCurator constructs the server-side engine.
 func NewCurator(cfg CuratorConfig) (*Curator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	dom := transition.NewDomain(cfg.Space)
-	rng := ldp.NewSource(cfg.Seed, cfg.Seed^0x6a09e667f3bcc908)
-	synth, err := synthesis.New(cfg.Space, synthesis.Options{Lambda: cfg.Lambda}, rng)
+	reg := obs.NewRegistry()
+	eng, err := core.NewWire(core.Options{
+		Space:    cfg.Space,
+		Epsilon:  cfg.Epsilon,
+		W:        cfg.W,
+		Division: cfg.Division,
+		Strategy: cfg.Strategy,
+		Lambda:   cfg.Lambda,
+		Kappa:    cfg.Kappa,
+		Seed:     cfg.Seed,
+		Metrics:  reg,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("remote: %w", err)
 	}
-	model := mobility.NewModel(dom)
-	c := &Curator{
-		cfg:         cfg,
-		dom:         dom,
-		space:       cfg.Space,
-		present:     make(map[int]bool),
-		prevPresent: make(map[int]bool),
-		model:       model,
-		users:       newRoster(cfg.W),
-		dev:         allocation.NewDevTracker(cfg.Kappa),
-		sig:         allocation.NewSigTracker(cfg.Kappa),
-		rng:         rng,
-		t:           -1,
-		estimator:   &pipeline.DebiasEstimator{},
-		updater:     &pipeline.DMUUpdater{Model: model},
-		synthStage:  &pipeline.SynthesisStage{Model: model, Synth: synth},
-	}
-	if cfg.Division == allocation.Budget {
-		c.budgetWin = allocation.NewBudgetWindow(cfg.W)
-	}
-	c.reg = obs.NewRegistry()
-	c.metrics = newCuratorMetrics(c.reg, cfg.W)
-	c.metrics.domainSize.Set(float64(dom.Size()))
-	c.logger = discardLogger()
-	c.dev.Push(make([]float64, dom.Size()))
-	c.bootFP = c.configFingerprint()
 	// The density tracker always runs (the manual /v1/relayout endpoint
-	// works without the periodic cadence); rebuilds consume only released
-	// data, so tracking is privacy-free.
-	leaves := cfg.RelayoutLeaves
-	if leaves == 0 {
-		leaves = cfg.Space.NumCells()
-	}
-	ctl, err := relayout.NewController(relayout.ControllerOptions{
+	// works without the periodic cadence) and so does the utility monitor:
+	// both only read public data — the released stream and the DP estimates
+	// — so they cost no budget and cannot perturb the protocol.
+	ctl, mon, err := core.NewLayoutControl(cfg.Space, &relayout.ControllerOptions{
 		Every:     cfg.RediscretizeEvery,
 		W:         cfg.W,
 		Threshold: cfg.RelayoutThreshold,
-		Quadtree:  spatial.QuadtreeOptions{MaxLeaves: leaves},
-		Bounds:    cfg.Space.Bounds(),
+		Quadtree:  spatial.QuadtreeOptions{MaxLeaves: cfg.RelayoutLeaves},
 		Trigger:   cfg.TriggerPolicy,
-	})
+	}, cfg.MonitorWindow, reg)
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetMetrics(c.reg)
-	c.ctl = ctl
-	// The utility monitor is always on, like the registry: it only reads
-	// public data (the released stream and the DP estimates), so it costs
-	// no budget and cannot perturb the protocol.
-	mon, err := monitor.New(monitor.Options{Window: cfg.MonitorWindow})
-	if err != nil {
-		return nil, err
+	c := &Curator{
+		division:    cfg.Division,
+		eng:         eng,
+		ctl:         ctl,
+		mon:         mon,
+		present:     make(map[int]bool),
+		prevPresent: make(map[int]bool),
+		reg:         reg,
+		metrics:     newCuratorMetrics(reg),
+		logger:      discardLogger(),
 	}
-	mon.SetMetrics(c.reg)
-	ctl.SetAlarmSource(mon)
-	c.mon = mon
+	c.metrics.domainSize.Set(float64(eng.Domain().Size()))
 	return c, nil
 }
 
@@ -310,33 +220,20 @@ func NewCurator(cfg CuratorConfig) (*Curator, error) {
 func (c *Curator) EnableLedger(T int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ledger = allocation.NewLedger(T)
+	c.eng.EnableLedger(T)
 }
 
 // Ledger returns the recorded ledger (nil unless enabled).
 func (c *Curator) Ledger() *allocation.Ledger {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ledger
+	return c.eng.Ledger()
 }
 
 // Presence registers that user id is present at timestamp t (has a
 // transition state to contribute). Presence for a past timestamp is
 // rejected.
-func (c *Curator) Presence(user, t int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t <= c.t {
-		return fmt.Errorf("remote: presence for closed timestamp %d (current %d)", t, c.t)
-	}
-	if !c.present[user] {
-		c.present[user] = true
-		c.presenceEvents++
-		c.metrics.presenceEvents.Inc()
-		c.metrics.presentUsers.Set(float64(len(c.present)))
-	}
-	return nil
-}
+func (c *Curator) Presence(user, t int) error { return c.PresenceBatch([]int{user}, t) }
 
 // PresenceBatch registers a whole gateway shard's presence in one call.
 // Registration is a set operation, so the batch needs no all-or-nothing
@@ -345,8 +242,8 @@ func (c *Curator) Presence(user, t int) error {
 func (c *Curator) PresenceBatch(users []int, t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t <= c.t {
-		return fmt.Errorf("remote: presence for closed timestamp %d (current %d)", t, c.t)
+	if t <= c.eng.LastT() {
+		return fmt.Errorf("remote: presence for closed timestamp %d (current %d)", t, c.eng.LastT())
 	}
 	for _, user := range users {
 		if !c.present[user] {
@@ -367,94 +264,56 @@ func (c *Curator) PresenceEvents() int64 {
 	return c.presenceEvents
 }
 
-// Plan closes presence collection for timestamp t, recycles the window,
-// decides the round and fixes the per-user assignments.
+// Plan closes presence collection for timestamp t and opens the round: the
+// engine recycles the window, decides the round and samples; the sample
+// becomes the per-user assignments.
 func (c *Curator) Plan(t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phaseIdle {
-		return c.roundError("plan", t, fmt.Errorf("remote: Plan(%d) while a round is open", t))
-	}
-	if t <= c.t {
-		return c.roundError("plan", t, fmt.Errorf("remote: Plan(%d) after timestamp %d", t, c.t))
-	}
-	c.t = t
-	c.users.begin(t)
+	ids := c.idBuf[:0]
 	for id := range c.present {
-		c.users.register(id)
+		ids = append(ids, id)
 	}
-
-	ctx := allocation.Context{
-		T: t, W: c.cfg.W, Epsilon: c.cfg.Epsilon,
-		Dev: c.dev.Dev(), SigRatioMean: c.sig.Mean(),
+	if c.division == allocation.Population {
+		// The sampler draws over the pool in the order given; map order is
+		// random, sorted order makes the draw reproducible.
+		slices.Sort(ids)
 	}
-	if c.budgetWin != nil {
-		ctx.WindowUsed = c.budgetWin.Used()
+	sampled, round, err := core.Plan(c.eng, t, ids, func(id int) int { return id }, nil, ids)
+	c.idBuf = ids[:0]
+	if err != nil {
+		return c.roundError("plan", t, fmt.Errorf("remote: %w", err))
 	}
-	decision := c.cfg.Strategy.Decide(ctx)
-	pool := make([]int, 0, len(c.present))
-	for id := range c.present {
-		if c.users.active(id) {
-			pool = append(pool, id)
-		}
+	c.assignments = make(map[int]Assignment, len(sampled))
+	for _, id := range sampled {
+		c.assignments[id] = Assignment{Report: true, Epsilon: round.Epsilon}
 	}
-	if !c.updater.Bootstrapped() && len(pool) > 0 && !decision.Report {
-		if c.cfg.Division == allocation.Budget {
-			decision = allocation.Decision{Report: true, Epsilon: c.cfg.Epsilon / float64(c.cfg.W)}
-		} else {
-			decision = allocation.Decision{Report: true, Portion: 1 / float64(c.cfg.W)}
-		}
-	}
-
-	c.assignments = make(map[int]Assignment, len(pool))
-	c.epsRound = 0
-	if decision.Report && len(pool) > 0 {
-		sampled := pool
-		c.epsRound = decision.Epsilon
-		if c.cfg.Division == allocation.Population {
-			c.epsRound = c.cfg.Epsilon
-			n := int(decision.Portion*float64(len(pool)) + 0.5)
-			if n < 1 {
-				n = 1
-			}
-			if n > len(pool) {
-				n = len(pool)
-			}
-			// Deterministic partial Fisher-Yates over a sorted pool.
-			sortInts(pool)
-			for i := 0; i < n; i++ {
-				j := i + c.rng.IntN(len(pool)-i)
-				pool[i], pool[j] = pool[j], pool[i]
-			}
-			sampled = pool[:n]
-		}
-		for _, id := range sampled {
-			c.assignments[id] = Assignment{Report: true, Epsilon: c.epsRound}
-		}
-		c.oracle = ldp.MustOUE(c.dom.Size(), c.epsRound)
+	c.oracle, c.agg = nil, nil
+	if len(sampled) > 0 {
+		c.oracle = ldp.MustOUE(c.eng.Domain().Size(), round.Epsilon)
 		c.agg = ldp.NewAggregator(c.oracle)
-	} else {
-		c.oracle, c.agg = nil, nil
 	}
-	c.phase = phasePlanned
-	c.roundPool = len(pool)
-	c.roundSampled = len(c.assignments)
-	c.roundReports = 0
 	c.metrics.openRound.Set(1)
-	c.metrics.poolSize.Set(float64(c.roundPool))
-	c.metrics.sampledUsers.Set(float64(c.roundSampled))
+	c.metrics.poolSize.Set(float64(round.Pool))
+	c.metrics.sampledUsers.Set(float64(round.Sampled))
 	c.metrics.pendingAsgn.Set(float64(len(c.assignments)))
 	return nil
 }
 
+// openAt reports whether the round for timestamp t is open. Called under
+// c.mu.
+func (c *Curator) openAt(t int) bool {
+	_, open := c.eng.Open()
+	return open && t == c.eng.LastT()
+}
+
 // AssignmentFor answers a client's poll after Plan.
 func (c *Curator) AssignmentFor(user, t int) (Assignment, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.phase != phasePlanned || t != c.t {
-		return Assignment{}, fmt.Errorf("remote: no open round for timestamp %d", t)
+	as, err := c.AssignmentsFor([]int{user}, t)
+	if err != nil {
+		return Assignment{}, err
 	}
-	return c.assignments[user], nil
+	return as[0], nil
 }
 
 // AssignmentsFor answers a gateway's batched poll after Plan: one entry per
@@ -462,7 +321,7 @@ func (c *Curator) AssignmentFor(user, t int) (Assignment, error) {
 func (c *Curator) AssignmentsFor(users []int, t int) ([]Assignment, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phasePlanned || t != c.t {
+	if !c.openAt(t) {
 		return nil, fmt.Errorf("remote: no open round for timestamp %d", t)
 	}
 	out := make([]Assignment, len(users))
@@ -474,25 +333,26 @@ func (c *Curator) AssignmentsFor(users []int, t int) ([]Assignment, error) {
 
 // Report ingests a sampled client's perturbed OUE bits (indices of ones).
 func (c *Curator) Report(user, t int, ones []int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reportLocked(user, t, ones)
+	return c.ReportBatch(t, []BatchReport{{User: user, Ones: ones}})
 }
 
-func (c *Curator) reportLocked(user, t int, ones []int) error {
-	if c.phase != phasePlanned || t != c.t {
+// admitLocked is the all-or-nothing gate of a report upload: the round for t
+// is open and every uploading user was sampled, has not reported yet and
+// appears once.
+func (c *Curator) admitLocked(t int, users []int) error {
+	if !c.openAt(t) {
 		return fmt.Errorf("remote: report outside an open round")
 	}
-	a, ok := c.assignments[user]
-	if !ok || !a.Report {
-		return fmt.Errorf("remote: user %d was not sampled at timestamp %d", user, t)
+	seen := make(map[int]struct{}, len(users))
+	for i, u := range users {
+		if _, dup := seen[u]; dup {
+			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, u)
+		}
+		seen[u] = struct{}{}
+		if !c.assignments[u].Report {
+			return fmt.Errorf("remote: batch entry %d: user %d was not sampled at timestamp %d", i, u, t)
+		}
 	}
-	if err := c.validateOnesLocked(ones); err != nil {
-		return err
-	}
-	c.agg.Add(ones)
-	c.metrics.reportsSparse.Inc()
-	c.applyReportMetaLocked(user, t, a.Epsilon)
 	return nil
 }
 
@@ -502,7 +362,7 @@ func (c *Curator) reportLocked(user, t int, ones []int) error {
 // service; with it the report is rejected with a clean error and the round
 // stays intact.
 func (c *Curator) validateOnesLocked(ones []int) error {
-	d := c.dom.Size()
+	d := c.eng.Domain().Size()
 	for _, i := range ones {
 		if i < 0 || i >= d {
 			return fmt.Errorf("remote: report bit %d outside domain [0, %d)", i, d)
@@ -511,18 +371,17 @@ func (c *Curator) validateOnesLocked(ones []int) error {
 	return nil
 }
 
-// applyReportMetaLocked records the bookkeeping of one ingested report —
-// everything except the aggregation fold itself.
-func (c *Curator) applyReportMetaLocked(user, t int, eps float64) {
-	delete(c.assignments, user) // one report per assignment
-	c.users.markReported(user, t)
-	c.reports++
-	c.roundReports++
-	c.metrics.reports.Inc()
-	c.metrics.pendingAsgn.Set(float64(len(c.assignments)))
-	if c.ledger != nil {
-		c.ledger.RecordRound(t, eps, []int{user})
+// foldedLocked books the users whose reports were just folded into the
+// aggregate — one report per assignment. The engine hears about them at
+// Finalize; until then a sampled-but-silent user is simply still assigned.
+func (c *Curator) foldedLocked(users []int, took time.Duration) {
+	for _, u := range users {
+		delete(c.assignments, u)
 	}
+	c.folded = append(c.folded, users...)
+	c.eng.ChargeModelConstruction(took)
+	c.metrics.reports.Add(int64(len(users)))
+	c.metrics.pendingAsgn.Set(float64(len(c.assignments)))
 }
 
 // BatchReport is one user's entry in a batched report upload.
@@ -539,34 +398,24 @@ type BatchReport struct {
 func (c *Curator) ReportBatch(t int, batch []BatchReport) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phasePlanned || t != c.t {
-		return fmt.Errorf("remote: batch outside an open round")
-	}
-	seen := make(map[int]struct{}, len(batch))
-	eps := make([]float64, len(batch))
+	users := make([]int, len(batch))
 	for i, r := range batch {
-		if _, dup := seen[r.User]; dup {
-			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, r.User)
-		}
-		seen[r.User] = struct{}{}
-		a, ok := c.assignments[r.User]
-		if !ok || !a.Report {
-			return fmt.Errorf("remote: batch entry %d: user %d was not sampled at timestamp %d", i, r.User, t)
-		}
+		users[i] = r.User
+	}
+	if err := c.admitLocked(t, users); err != nil {
+		return err
+	}
+	for i, r := range batch {
 		if err := c.validateOnesLocked(r.Ones); err != nil {
 			return fmt.Errorf("remote: batch entry %d: %w", i, err)
 		}
-		eps[i] = a.Epsilon
 	}
 	start := time.Now()
 	for _, r := range batch {
 		c.agg.Add(r.Ones)
 	}
-	c.timings.ModelConstruction += time.Since(start)
 	c.metrics.reportsSparse.Add(int64(len(batch)))
-	for i, r := range batch {
-		c.applyReportMetaLocked(r.User, t, eps[i])
-	}
+	c.foldedLocked(users, time.Since(start))
 	return nil
 }
 
@@ -608,16 +457,12 @@ func PackReportBatch(batch []BatchReport, d int) ([]PackedBatchReport, error) {
 // traffic. A relayout racing the decode is caught by the commit's domain
 // re-check and rejected cleanly.
 func (c *Curator) ReportPackedBatch(t int, batch []PackedBatchReport) error {
-	d := c.DomainSize()
-	packed := ldp.NewPackedBatch(d, len(batch))
 	users := make([]int, len(batch))
+	bits := make([][]byte, len(batch))
 	for i, r := range batch {
-		users[i] = r.User
-		if err := ldp.UnpackReportBytesInto(r.Bits, d, packed.Grow()); err != nil {
-			return fmt.Errorf("remote: batch entry %d (user %d): %w", i, r.User, err)
-		}
+		users[i], bits[i] = r.User, r.Bits
 	}
-	return c.commitPackedBatch(t, d, users, packed)
+	return c.reportPackedWire(t, c.DomainSize(), users, bits)
 }
 
 // reportPackedWire is the binary-frame ingest path: bits rows alias the
@@ -645,129 +490,73 @@ func (c *Curator) reportPackedWire(t, d int, users []int, bits [][]byte) error {
 func (c *Curator) commitPackedBatch(t, d int, users []int, packed *ldp.PackedBatch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phasePlanned || t != c.t {
-		return fmt.Errorf("remote: batch outside an open round")
+	if err := c.admitLocked(t, users); err != nil {
+		return err
 	}
-	if cd := c.dom.Size(); d != cd {
+	if cd := c.eng.Domain().Size(); d != cd {
 		// A relayout landed between decode and commit; the rows were packed
 		// for the old bit layout and must not fold into the new one.
 		return fmt.Errorf("remote: packed batch encoded for domain %d, curator domain is %d", d, cd)
 	}
-	seen := make(map[int]struct{}, len(users))
-	eps := make([]float64, len(users))
-	for i, u := range users {
-		if _, dup := seen[u]; dup {
-			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, u)
-		}
-		seen[u] = struct{}{}
-		a, ok := c.assignments[u]
-		if !ok || !a.Report {
-			return fmt.Errorf("remote: batch entry %d: user %d was not sampled at timestamp %d", i, u, t)
-		}
-		eps[i] = a.Epsilon
-	}
 	start := time.Now()
 	c.agg.AddPackedBatch(packed, ldp.DefaultWorkers())
-	c.timings.ModelConstruction += time.Since(start)
+	c.foldedPacked = true
 	c.metrics.reportsPacked.Add(int64(len(users)))
-	for i, u := range users {
-		c.applyReportMetaLocked(u, t, eps[i])
-	}
+	c.foldedLocked(users, time.Since(start))
 	return nil
 }
 
-// Finalize closes timestamp t: aggregates whatever reports arrived, applies
-// the DMU update, infers quits from absence, and advances the synthesizer
-// toward activeCount (the public population size).
+// Finalize closes timestamp t: the engine debiases whatever reports arrived,
+// applies the DMU update, retires the users inferred to have quit and
+// advances the synthesizer toward activeCount (the public population size);
+// then the released stream is observed and, when due, the layout migrates.
 func (c *Curator) Finalize(t, activeCount int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phasePlanned || t != c.t {
+	round, _ := c.eng.Open()
+	if !c.openAt(t) {
 		return c.roundError("finalize", t, fmt.Errorf("remote: Finalize(%d) without a matching Plan", t))
 	}
-
-	ctx := &pipeline.StepContext{
-		T:           t,
-		ActiveCount: activeCount,
-		Epsilon:     c.epsRound,
-		Timings:     &c.timings,
-	}
-	reported := c.agg != nil && c.agg.N() > 0
-	if reported {
-		ctx.Aggregate = c.agg
-		ctx.ErrUpd = c.oracle.Variance(c.agg.N())
-		c.estimator.Estimate(ctx)
-		c.updater.Update(ctx)
-		c.dev.Push(ctx.Estimates)
-		c.rounds++
-		c.metrics.rounds.Inc()
-		c.metrics.reportCount.ObserveValue(int64(c.roundReports))
-		c.metrics.sigRatio.Set(ctx.SigRatio)
-		c.metrics.significant.Set(float64(ctx.Result.NumSignificant))
-	}
-	c.sig.Push(ctx.SigRatio)
-	spent := 0.0
-	if reported {
-		spent = c.epsRound
-	}
-	if c.budgetWin != nil {
-		c.budgetWin.Record(spent)
-	}
-	c.metrics.meter.Observe(spent, c.roundReports, c.roundPool)
-
-	// Quit inference: users present at t−1 but silent at t have stopped
-	// sharing.
-	for id := range c.prevPresent {
-		if !c.present[id] {
-			c.users.markQuitted(id)
+	var col core.Collected
+	if len(c.folded) > 0 {
+		col = core.Collected{
+			Aggregate: c.agg,
+			ErrUpd:    c.oracle.Variance(c.agg.N()),
+			Reporters: c.folded,
+			Packed:    c.foldedPacked,
 		}
 	}
+	// Quit inference: users present at t−1 but silent at t have stopped
+	// sharing.
+	var quitters []int
+	for id := range c.prevPresent {
+		if !c.present[id] {
+			quitters = append(quitters, id)
+		}
+	}
+	res, err := c.eng.Close(t, col, quitters, activeCount)
+	if err != nil {
+		return c.roundError("finalize", t, fmt.Errorf("remote: %w", err))
+	}
 	c.prevPresent, c.present = c.present, make(map[int]bool)
-
-	c.synthStage.Step(ctx)
-	c.phase = phaseIdle
-	c.assignments = nil
+	c.assignments, c.oracle, c.agg = nil, nil, nil
+	c.folded, c.foldedPacked = c.folded[:0], false
+	if res.Reported {
+		c.metrics.rounds.Inc()
+		c.metrics.reportCount.ObserveValue(int64(res.NumReporters))
+		c.metrics.sigRatio.Set(res.SigRatio)
+		c.metrics.significant.Set(float64(res.NumSignificant))
+	}
 	c.metrics.openRound.Set(0)
 	c.metrics.pendingAsgn.Set(0)
 
-	// Online re-discretization and utility monitoring both consume this
-	// round's released positions — sketch them once. The monitor closes
-	// its round before any relayout decision so the degradation trigger
-	// sees alarms that include timestamp t. Divergence compares this
-	// round's estimates against the sketch *before* folding in this
-	// round's release: the synthesizer adapts to the estimates within the
-	// round, so including it would dilute a regime change with the
-	// already-adapted stream and the sentinel would miss exactly the
-	// shifts it exists to catch.
-	pts := c.releasedPositionsLocked()
-	c.ctl.Observe(t, pts)
-	var cellEst []float64
-	if reported {
-		c.cellMassBuf = monitor.CellMasses(c.dom, ctx.Estimates, c.cellMassBuf)
-		cellEst = c.cellMassBuf
-	}
-	monRep := c.mon.Round(t, c.space, cellEst, ctx.SigRatio,
+	ch, err := core.AdaptLayout([]*core.Engine{c.eng}, c.ctl, c.mon, t,
 		c.metrics.roundErrors.Value()+c.metrics.relayoutErrors.Value())
-	c.mon.ObserveRelease(t, pts)
-	relayoutSwitched, triggerFired := false, false
-	if c.ctl.Due(t) {
-		status, err := c.relayoutLocked(false)
-		if err != nil {
-			return c.relayoutError(t, fmt.Errorf("remote: periodic relayout at timestamp %d: %w", t, err))
-		}
-		relayoutSwitched = status.Switched
-		triggerFired = status.TriggerFired
+	if err != nil {
+		return c.relayoutError(t, fmt.Errorf("remote: periodic relayout at timestamp %d: %w", t, err))
 	}
-
-	// Per-round stage-latency deltas: timings accumulate cumulatively (the
-	// report folds were already charged during ingestion), so the increment
-	// since the previous Finalize is this round's cost.
-	delta := pipeline.Sub(c.timings, c.lastTimings)
-	c.lastTimings = c.timings
-	c.metrics.stageModel.Observe(delta.ModelConstruction)
-	c.metrics.stageDMU.Observe(delta.DMU)
-	c.metrics.stageSynth.Observe(delta.Synthesis)
-	c.traceRound(t, reported, c.roundReports, spent, ctx.SigRatio, ctx.Result.NumSignificant, delta, relayoutSwitched, monRep, triggerFired)
+	c.noteLayoutLocked(ch)
+	c.traceRound(round, res, ch)
 	return nil
 }
 
@@ -777,9 +566,9 @@ func (c *Curator) Health() HealthReport {
 	defer c.mu.Unlock()
 	return HealthReport{
 		Health:     c.mon.Health(),
-		T:          c.t,
-		Rounds:     c.rounds,
-		Generation: c.generation,
+		T:          c.eng.LastT(),
+		Rounds:     c.eng.Stats().Rounds,
+		Generation: c.eng.Generation(),
 		Window:     c.mon.Window(),
 		Trigger:    string(c.ctl.Trigger()),
 	}
@@ -799,29 +588,6 @@ type HealthReport struct {
 	Window int `json:"monitor_window"`
 	// Trigger is the relayout trigger policy in effect.
 	Trigger string `json:"trigger"`
-}
-
-// releasedPositionsLocked returns the current positions of the released
-// synthetic streams as continuous points, spread over their cell geometry —
-// boxes for boxed backends, polygons for geofenced ones — by a deterministic
-// low-discrepancy sequence (see relayout.SpreadInBox / SpreadInPieces).
-func (c *Curator) releasedPositionsLocked() []spatial.Point {
-	cells := c.synthStage.Synth.ActiveCells(nil)
-	pts := make([]spatial.Point, len(cells))
-	boxed, _ := c.space.(spatial.Boxed)
-	poly, _ := c.space.(spatial.Overlapper)
-	for i, cell := range cells {
-		switch {
-		case boxed != nil:
-			pts[i] = relayout.SpreadInBox(boxed.CellBox(cell), i)
-		case poly != nil:
-			pts[i] = relayout.SpreadInPieces(poly.CellPieces(cell), i)
-		default:
-			x, y := c.space.Center(cell)
-			pts[i] = spatial.Point{X: x, Y: y}
-		}
-	}
-	return pts
 }
 
 // RelayoutStatus reports the outcome of a relayout request and the current
@@ -847,15 +613,29 @@ type RelayoutStatus struct {
 	Alarmed bool `json:"alarmed"`
 }
 
-func (c *Curator) statusLocked(switched bool, distance float64) RelayoutStatus {
+// statusLocked describes the layout now in effect plus what ch decided.
+func (c *Curator) statusLocked(ch core.LayoutChange) RelayoutStatus {
+	sp := c.eng.Space()
 	return RelayoutStatus{
-		Switched:    switched,
-		Distance:    distance,
-		Generation:  c.generation,
-		Cells:       c.space.NumCells(),
-		DomainSize:  c.dom.Size(),
-		Fingerprint: c.space.Fingerprint(),
+		Switched:     ch.Switched,
+		Distance:     ch.Proposal.Distance,
+		Generation:   c.eng.Generation(),
+		Cells:        sp.NumCells(),
+		DomainSize:   c.eng.Domain().Size(),
+		Fingerprint:  sp.Fingerprint(),
+		TriggerFired: ch.Proposal.Switch,
+		Alarmed:      ch.Proposal.Alarmed,
 	}
+}
+
+// noteLayoutLocked publishes an applied migration on the curator's gauges.
+func (c *Curator) noteLayoutLocked(ch core.LayoutChange) {
+	if !ch.Switched {
+		return
+	}
+	c.metrics.generation.Set(float64(c.eng.Generation()))
+	c.metrics.domainSize.Set(float64(c.eng.Domain().Size()))
+	c.metrics.migration.Observe(ch.Migration)
 }
 
 // Relayout rebuilds the spatial layout from the released-stream density
@@ -868,73 +648,13 @@ func (c *Curator) statusLocked(switched bool, distance float64) RelayoutStatus {
 func (c *Curator) Relayout(force bool) (RelayoutStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.phase != phaseIdle {
-		return c.statusLocked(false, 0), c.relayoutError(c.t, fmt.Errorf("remote: relayout while a round is open — finalize timestamp %d first", c.t))
+	t := c.eng.LastT()
+	if _, open := c.eng.Open(); open {
+		return c.statusLocked(core.LayoutChange{}), c.relayoutError(t, fmt.Errorf("remote: relayout while a round is open — finalize timestamp %d first", t))
 	}
-	st, err := c.relayoutLocked(force)
-	return st, c.relayoutError(c.t, err)
-}
-
-// relayoutLocked proposes a rebuild and applies the migration when the
-// controller (or force) says to switch. Mirrors core.Engine.Relayout for the
-// curator's wiring.
-func (c *Curator) relayoutLocked(force bool) (RelayoutStatus, error) {
-	prop, err := c.ctl.Propose(c.space)
-	if err != nil {
-		return c.statusLocked(false, 0), err
-	}
-	decided := func(switched bool) RelayoutStatus {
-		st := c.statusLocked(switched, prop.Distance)
-		st.TriggerFired = prop.Switch
-		st.Alarmed = prop.Alarmed
-		return st
-	}
-	if prop.Target == nil || prop.Target.Fingerprint() == c.space.Fingerprint() {
-		return decided(false), nil
-	}
-	if !prop.Switch && !force {
-		return decided(false), nil
-	}
-	migStart := time.Now()
-	mig, err := relayout.NewMigration(c.space, prop.Target)
-	if err != nil {
-		return decided(false), err
-	}
-	newDom := transition.NewDomain(prop.Target)
-	newFreq, err := mig.RemapFreqs(c.dom, newDom, c.model.Freqs())
-	if err != nil {
-		return decided(false), err
-	}
-	devSt, err := mig.RemapDevState(c.dom, newDom, c.dev.State())
-	if err != nil {
-		return decided(false), err
-	}
-	newModel := mobility.NewModel(newDom)
-	if err := newModel.Restore(mobility.State{Freq: newFreq, Init: c.model.Initialized()}); err != nil {
-		return decided(false), err
-	}
-	c.dev.Restore(devSt)
-	c.synthStage.Synth.Relayout(prop.Target, mig.MapCell)
-	bootstrapped := c.updater.Bootstrapped()
-	c.updater = &pipeline.DMUUpdater{Model: newModel}
-	c.updater.SetBootstrapped(bootstrapped)
-	c.synthStage = &pipeline.SynthesisStage{Model: newModel, Synth: c.synthStage.Synth}
-	c.model = newModel
-	c.dom = newDom
-	c.space = prop.Target
-	// The last closed round's aggregator is indexed by the old domain; drop
-	// it so a post-migration snapshot doesn't embed (and a restore doesn't
-	// rebuild) a stale-length aggregate.
-	c.oracle, c.agg = nil, nil
-	c.generation++
-	c.ctl.NoteSwitch(prop.Distance)
-	// The stationary level of the layout-dependent monitor signals moves
-	// with the discretization: re-learn their baselines on the new layout.
-	c.mon.NoteRelayout()
-	c.metrics.generation.Set(float64(c.generation))
-	c.metrics.domainSize.Set(float64(newDom.Size()))
-	c.metrics.observeMigration(time.Since(migStart))
-	return decided(true), nil
+	ch, err := core.Rediscretize([]*core.Engine{c.eng}, c.ctl, c.mon, force)
+	c.noteLayoutLocked(ch)
+	return c.statusLocked(ch), c.relayoutError(t, err)
 }
 
 // LayoutStatus returns the current layout identity without proposing a
@@ -942,21 +662,23 @@ func (c *Curator) relayoutLocked(force bool) (RelayoutStatus, error) {
 func (c *Curator) LayoutStatus() RelayoutStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.statusLocked(false, c.ctl.LastDistance())
+	return c.statusLocked(core.LayoutChange{Proposal: relayout.Proposal{Distance: c.ctl.LastDistance()}})
 }
 
 // Synthetic returns the current private release.
 func (c *Curator) Synthetic(name string) *trajectory.Dataset {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.synthStage.Synth.Dataset(name, c.t+1)
+	return c.eng.Synthetic(name, c.eng.LastT()+1)
 }
 
-// Stats summarizes the curator's activity.
+// Stats summarizes the curator's activity: rounds that collected reports,
+// and reports folded (those of the open round included).
 func (c *Curator) Stats() (rounds, reports int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rounds, c.reports
+	st := c.eng.Stats()
+	return st.Rounds, st.TotalReports + len(c.folded)
 }
 
 // Timings returns the accumulated per-component wall time of the pipeline
@@ -965,7 +687,7 @@ func (c *Curator) Stats() (rounds, reports int) {
 func (c *Curator) Timings() pipeline.Timings {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.timings
+	return c.eng.Stats().Timings
 }
 
 // Domain exposes the transition domain clients need for encoding. It
@@ -974,7 +696,7 @@ func (c *Curator) Timings() pipeline.Timings {
 func (c *Curator) Domain() *transition.Domain {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dom
+	return c.eng.Domain()
 }
 
 // DomainSize returns the size of the current transition domain — the d a
@@ -983,15 +705,5 @@ func (c *Curator) Domain() *transition.Domain {
 func (c *Curator) DomainSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dom.Size()
-}
-
-func sortInts(s []int) {
-	// Insertion sort suffices for the modest pools the sampler sees; keeps
-	// determinism without importing sort for a hot path.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return c.eng.Domain().Size()
 }

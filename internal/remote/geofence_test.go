@@ -99,8 +99,8 @@ func TestGeofenceCuratorSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &round); err != nil {
 		t.Fatal(err)
 	}
-	if round.Config.Discretizer != fence.Fingerprint() {
-		t.Fatalf("fence fingerprint lost in JSON round trip: %q", round.Config.Discretizer)
+	if round.Engine.Config.Discretizer != fence.Fingerprint() {
+		t.Fatalf("fence fingerprint lost in JSON round trip: %q", round.Engine.Config.Discretizer)
 	}
 	fresh, err := NewCurator(testConfig(fence))
 	if err != nil {
@@ -136,7 +136,7 @@ func TestGeofenceCuratorSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Legacy (fingerprint-less) snapshots never cross onto a fence.
-	round.Config.Discretizer = ""
+	round.Engine.Config.Discretizer = ""
 	legacy, err := NewCurator(testConfig(fence))
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestGeofenceCuratorRelayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout == nil || st.Layout.Kind != "quadtree" {
-		t.Fatalf("migrated snapshot carries layout %+v, want a quadtree", st.Layout)
+	if st.Engine.Layout == nil || st.Engine.Layout.Kind != "quadtree" {
+		t.Fatalf("migrated snapshot carries layout %+v, want a quadtree", st.Engine.Layout)
 	}
 	fresh, err := NewCurator(cfg)
 	if err != nil {

@@ -3,17 +3,17 @@ package remote
 import (
 	"io"
 	"log/slog"
-	"time"
 
-	"retrasyn/internal/allocation"
-	"retrasyn/internal/monitor"
+	"retrasyn/internal/core"
 	"retrasyn/internal/obs"
 	"retrasyn/internal/pipeline"
 )
 
-// curatorMetrics bundles the curator's registry handles. The registry is
-// always on — it costs a few atomics per round — and run-scoped: nothing
-// here enters snapshots, and a restored curator counts from zero.
+// curatorMetrics bundles the curator's own registry handles; the engine
+// records the pipeline.* stage latencies and the budget.* meter on the same
+// registry. The registry is always on — it costs a few atomics per round —
+// and run-scoped: nothing here enters snapshots, and a restored curator
+// counts from zero.
 type curatorMetrics struct {
 	rounds         *obs.Counter
 	reports        *obs.Counter
@@ -35,21 +35,11 @@ type curatorMetrics struct {
 
 	reportCount *obs.Histogram
 	migration   *obs.Histogram
-
-	stageModel *obs.Histogram
-	stageDMU   *obs.Histogram
-	stageSynth *obs.Histogram
-
-	meter *allocation.Meter
 }
 
-func newCuratorMetrics(reg *obs.Registry, w int) curatorMetrics {
+func newCuratorMetrics(reg *obs.Registry) curatorMetrics {
 	rep := func(kind string) *obs.Counter {
 		return reg.Counter("curator.reports_by_representation", obs.Label{Key: "representation", Value: kind})
-	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram("pipeline.stage.latency_us",
-			obs.Label{Key: "shard", Value: "0"}, obs.Label{Key: "stage", Value: name})
 	}
 	return curatorMetrics{
 		rounds:         reg.Counter("curator.rounds"),
@@ -70,10 +60,6 @@ func newCuratorMetrics(reg *obs.Registry, w int) curatorMetrics {
 		generation:     reg.Gauge("relayout.generation"),
 		reportCount:    reg.Histogram("curator.round.report_count"),
 		migration:      reg.Histogram("relayout.migration_duration_us"),
-		stageModel:     stage("model_construction"),
-		stageDMU:       stage("dmu"),
-		stageSynth:     stage("synthesis"),
-		meter:          allocation.NewMeter(reg, w),
 	}
 }
 
@@ -127,45 +113,41 @@ func (c *Curator) relayoutError(t int, err error) error {
 	return err
 }
 
-// traceRound emits the per-round tracer event. delta is the Timings
-// increment this round charged (report folds since the last Finalize plus
-// the estimate/DMU/synthesis work of this one). mon is the utility
-// monitor's round report; divergence keys carry −1 on rounds where it was
-// not computed (unreported round or empty release sketch). Called under
-// c.mu.
-func (c *Curator) traceRound(t int, reported bool, reports int, eps float64, sigRatio float64, significant int, delta pipeline.Timings, relayoutSwitched bool, mon monitor.RoundReport, triggerFired bool) {
+// traceRound emits the per-round tracer event: the plan the round opened
+// with, what closing it did (res.Stages covers the report folds since the
+// previous Finalize plus this round's estimate/DMU/synthesis work) and what
+// the layout observers saw. Divergence keys carry −1 on rounds where it was
+// not computed (unreported round or empty release sketch). Called under c.mu.
+func (c *Curator) traceRound(round core.OpenRound, res pipeline.StepResult, ch core.LayoutChange) {
 	if c.tracer == nil {
 		return
 	}
 	divL1, divJS := -1.0, -1.0
-	if mon.Computed {
-		divL1, divJS = mon.L1, mon.JS
+	if ch.Monitor.Computed {
+		divL1, divJS = ch.Monitor.L1, ch.Monitor.JS
 	}
-	alarms := mon.Alarms
+	alarms := ch.Monitor.Alarms
 	if alarms == nil {
 		alarms = []string{}
 	}
 	c.tracer.Info("round",
-		"t", t,
-		"reported", reported,
-		"reports", reports,
-		"epsilon", eps,
-		"pool", c.roundPool,
-		"sampled", c.roundSampled,
-		"sig_ratio", sigRatio,
-		"significant", significant,
-		"model_construction_us", delta.ModelConstruction.Microseconds(),
-		"dmu_us", delta.DMU.Microseconds(),
-		"synthesis_us", delta.Synthesis.Microseconds(),
-		"domain_size", c.dom.Size(),
-		"generation", c.generation,
-		"relayout_switched", relayoutSwitched,
+		"t", res.T,
+		"reported", res.Reported,
+		"reports", res.NumReporters,
+		"epsilon", res.Epsilon,
+		"pool", round.Pool,
+		"sampled", round.Sampled,
+		"sig_ratio", res.SigRatio,
+		"significant", res.NumSignificant,
+		"model_construction_us", res.Stages.ModelConstruction.Microseconds(),
+		"dmu_us", res.Stages.DMU.Microseconds(),
+		"synthesis_us", res.Stages.Synthesis.Microseconds(),
+		"domain_size", c.eng.Domain().Size(),
+		"generation", c.eng.Generation(),
+		"relayout_switched", ch.Switched,
 		"divergence", divJS,
 		"divergence_l1", divL1,
 		"alarms", alarms,
-		"trigger_fired", triggerFired,
+		"trigger_fired", ch.Proposal.Switch,
 	)
 }
-
-// observeMigration times one applied migration.
-func (m *curatorMetrics) observeMigration(d time.Duration) { m.migration.Observe(d) }

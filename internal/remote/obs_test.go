@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"retrasyn/internal/obs"
+	"retrasyn/internal/pipeline"
 )
 
 // TestSnapshotExcludesMetrics is the checkpoint-compatibility regression for
@@ -114,12 +115,12 @@ func marshalSnapshot(c *Curator) ([]byte, error) {
 // two runs' snapshots can be compared on logical state alone.
 func stripTimings(t *testing.T, blob []byte) []byte {
 	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(blob, &m); err != nil {
+	var st CuratorState
+	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "timings")
-	out, err := json.Marshal(m)
+	st.Engine.Stats.Timings = pipeline.Timings{}
+	out, err := json.Marshal(&st)
 	if err != nil {
 		t.Fatal(err)
 	}

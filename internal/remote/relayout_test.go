@@ -54,7 +54,7 @@ func TestCuratorRelayout(t *testing.T) {
 
 	driveRounds(t, cur, srv.URL, 80, 0, 8)
 	before := 0.0
-	for _, f := range cur.model.Freqs() {
+	for _, f := range cur.eng.Model().Freqs() {
 		before += f
 	}
 	bootFP := cur.LayoutStatus().Fingerprint
@@ -78,7 +78,7 @@ func TestCuratorRelayout(t *testing.T) {
 		t.Fatal("layout fingerprint unchanged after a switch")
 	}
 	after := 0.0
-	for _, f := range cur.model.Freqs() {
+	for _, f := range cur.eng.Model().Freqs() {
 		after += f
 	}
 	if diff := after - before; diff > 1e-9 || diff < -1e-9 {

@@ -101,7 +101,7 @@ func TestCuratorLegacySnapshotCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Config.Discretizer = "" // what a pre-spatial build wrote
+	st.Engine.Config.Discretizer = "" // what a pre-spatial build wrote
 	fresh, err := NewCurator(testConfig(g))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCuratorLegacySnapshotCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qst.Config.Discretizer = ""
+	qst.Engine.Config.Discretizer = ""
 	qfresh, err := NewCurator(testConfig(qt))
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +150,8 @@ func TestCuratorSnapshotCrossDiscretizer(t *testing.T) {
 	if err := json.Unmarshal(blob, &round); err != nil {
 		t.Fatal(err)
 	}
-	if round.Config.Discretizer != qt.Fingerprint() {
-		t.Fatalf("fingerprint lost in JSON round trip: %q", round.Config.Discretizer)
+	if round.Engine.Config.Discretizer != qt.Fingerprint() {
+		t.Fatalf("fingerprint lost in JSON round trip: %q", round.Engine.Config.Discretizer)
 	}
 	gcur, err := NewCurator(testConfig(testGrid()))
 	if err != nil {

@@ -2,16 +2,12 @@ package remote
 
 import (
 	"fmt"
-	"strings"
+	"maps"
+	"slices"
 
-	"retrasyn/internal/allocation"
+	"retrasyn/internal/core"
 	"retrasyn/internal/ldp"
-	"retrasyn/internal/mobility"
-	"retrasyn/internal/pipeline"
 	"retrasyn/internal/relayout"
-	"retrasyn/internal/spatial"
-	"retrasyn/internal/synthesis"
-	"retrasyn/internal/transition"
 )
 
 // Curator checkpointing: Snapshot exports the complete protocol and model
@@ -20,118 +16,36 @@ import (
 // curator continues the protocol with releases bit-identical to an
 // uninterrupted one.
 
-// CuratorStateVersion guards the snapshot format.
-const CuratorStateVersion = 1
+// CuratorStateVersion guards the snapshot format. Version 2 embeds the round
+// core's own checkpoint (core.EngineState) where version 1 carried the
+// curator's private copy of the model, roster and trackers; version-1 blobs
+// are rejected, not converted.
+const CuratorStateVersion = 2
 
-// CuratorFingerprint captures the config a snapshot is only valid for.
-type CuratorFingerprint struct {
-	// Discretizer is the stable layout fingerprint of the spatial backend.
-	// Snapshots from pre-spatial builds omit it; Restore accepts those when
-	// the curator runs the uniform grid, the only backend that existed then.
-	Discretizer string  `json:"discretizer,omitempty"`
-	DomainSize  int     `json:"domain_size"`
-	Epsilon     float64 `json:"epsilon"`
-	W           int     `json:"w"`
-	Division    int     `json:"division"`
-	Lambda      float64 `json:"lambda"`
-	Kappa       int     `json:"kappa"`
-	Seed        uint64  `json:"seed"`
-}
-
-// fingerprint returns the boot-time config fingerprint, frozen at NewCurator
-// so checkpoints taken before and after layout migrations all validate
-// against the same construction config (the current layout is recorded
-// separately in CuratorState.Generation/Layout).
-func (c *Curator) fingerprint() CuratorFingerprint { return c.bootFP }
-
-func (c *Curator) configFingerprint() CuratorFingerprint {
-	return CuratorFingerprint{
-		Discretizer: c.cfg.Space.Fingerprint(),
-		DomainSize:  c.dom.Size(),
-		Epsilon:     c.cfg.Epsilon,
-		W:           c.cfg.W,
-		Division:    int(c.cfg.Division),
-		Lambda:      c.cfg.Lambda,
-		Kappa:       c.cfg.Kappa,
-		Seed:        c.cfg.Seed,
-	}
-}
-
-// RosterState is the serializable form of a UserRoster.
-type RosterState struct {
-	Status   map[int]uint8 `json:"status"`
-	Reported [][]int       `json:"reported"`
-}
-
-func (r *UserRoster) state() RosterState {
-	st := RosterState{
-		Status:   make(map[int]uint8, len(r.status)),
-		Reported: make([][]int, len(r.reported)),
-	}
-	for id, s := range r.status {
-		st.Status[id] = s
-	}
-	for i, ids := range r.reported {
-		st.Reported[i] = append([]int(nil), ids...)
-	}
-	return st
-}
-
-func (r *UserRoster) restore(st RosterState) error {
-	if len(st.Reported) != r.w {
-		return fmt.Errorf("remote: roster restore with %d slots, window %d", len(st.Reported), r.w)
-	}
-	r.status = make(map[int]uint8, len(st.Status))
-	for id, s := range st.Status {
-		r.status[id] = s
-	}
-	for i := range r.reported {
-		r.reported[i] = append([]int(nil), st.Reported[i]...)
-	}
-	return nil
-}
-
-// CuratorState is the serializable processing state of a Curator, including
-// any round currently open (phase, assignments and the partial aggregate).
+// CuratorState is the serializable processing state of a Curator: the
+// engine's state — everything a round owns, the open round's plan included —
+// plus the wire state around it and the re-discretization controller.
 type CuratorState struct {
-	Version int                `json:"version"`
-	Config  CuratorFingerprint `json:"config"`
+	Version int `json:"version"`
+	// Engine is the round core's checkpoint. Its config fingerprint guards
+	// against restoring into a curator built with a different config, and it
+	// records the layout the curator had migrated onto.
+	Engine *core.EngineState `json:"engine"`
+	// Relayout carries the density-sketch controller, so rebuild decisions
+	// after a restore match the uninterrupted curator exactly.
+	Relayout *relayout.ControllerState `json:"relayout,omitempty"`
 
-	// Generation counts the layout migrations applied before the snapshot;
-	// when > 0, Layout/LayoutFingerprint describe the discretization in
-	// effect so Restore can rebuild it. Relayout carries the density-sketch
-	// controller, so rebuild decisions after a restore match the
-	// uninterrupted curator exactly.
-	Generation        int                       `json:"generation,omitempty"`
-	Layout            *relayout.Layout          `json:"layout,omitempty"`
-	LayoutFingerprint string                    `json:"layout_fp,omitempty"`
-	Relayout          *relayout.ControllerState `json:"relayout,omitempty"`
+	Present     map[int]bool `json:"present"`
+	PrevPresent map[int]bool `json:"prev_present"`
 
-	T           int                `json:"t"`
-	Phase       int                `json:"phase"`
-	Present     map[int]bool       `json:"present"`
-	PrevPresent map[int]bool       `json:"prev_present"`
-	Assignments map[int]Assignment `json:"assignments,omitempty"`
-	EpsRound    float64            `json:"eps_round"`
-	// AggCounts/AggN carry an open round's partial aggregate; AggCounts is
-	// nil when the round has no aggregator (or between rounds).
-	AggCounts []int `json:"agg_counts,omitempty"`
-	AggN      int   `json:"agg_n"`
-
-	Model        mobility.State `json:"model"`
-	Bootstrapped bool           `json:"bootstrapped"`
-
-	Roster       RosterState                   `json:"roster"`
-	Dev          allocation.DevState           `json:"dev"`
-	Sig          allocation.SigState           `json:"sig"`
-	BudgetWindow *allocation.BudgetWindowState `json:"budget_window,omitempty"`
-	Ledger       *allocation.Ledger            `json:"ledger,omitempty"`
-
-	RNG     []byte           `json:"rng"`
-	Rounds  int              `json:"rounds"`
-	Reports int              `json:"reports"`
-	Synth   synthesis.State  `json:"synth"`
-	Timings pipeline.Timings `json:"timings"`
+	// The open round's wire state (all empty between rounds): assignments
+	// not yet answered, the users whose reports were folded, and the partial
+	// aggregate. AggCounts is nil when the round samples nobody.
+	Assignments  map[int]Assignment `json:"assignments,omitempty"`
+	Folded       []int              `json:"folded,omitempty"`
+	FoldedPacked bool               `json:"folded_packed,omitempty"`
+	AggCounts    []int              `json:"agg_counts,omitempty"`
+	AggN         int                `json:"agg_n,omitempty"`
 }
 
 // Snapshot exports the curator's complete state as a deep copy; handler
@@ -139,54 +53,24 @@ type CuratorState struct {
 func (c *Curator) Snapshot() (*CuratorState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rngState, err := c.rng.State()
+	eng, err := c.eng.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("remote: snapshot rng: %w", err)
+		return nil, fmt.Errorf("remote: %w", err)
 	}
 	ctlState := c.ctl.State()
 	st := &CuratorState{
 		Version:      CuratorStateVersion,
-		Config:       c.fingerprint(),
-		Generation:   c.generation,
+		Engine:       eng,
 		Relayout:     &ctlState,
-		T:            c.t,
-		Phase:        int(c.phase),
 		Present:      copyBoolSet(c.present),
 		PrevPresent:  copyBoolSet(c.prevPresent),
-		EpsRound:     c.epsRound,
-		Model:        c.model.State(),
-		Bootstrapped: c.updater.Bootstrapped(),
-		Roster:       c.users.state(),
-		Dev:          c.dev.State(),
-		Sig:          c.sig.State(),
-		Ledger:       c.ledger.Clone(),
-		RNG:          rngState,
-		Rounds:       c.rounds,
-		Reports:      c.reports,
-		Synth:        c.synthStage.Synth.State(),
-		Timings:      c.timings,
-	}
-	if c.assignments != nil {
-		st.Assignments = make(map[int]Assignment, len(c.assignments))
-		for id, a := range c.assignments {
-			st.Assignments[id] = a
-		}
+		Assignments:  maps.Clone(c.assignments),
+		Folded:       slices.Clone(c.folded),
+		FoldedPacked: c.foldedPacked,
 	}
 	if c.agg != nil {
 		st.AggCounts = c.agg.Counts()
 		st.AggN = c.agg.N()
-	}
-	if c.budgetWin != nil {
-		bw := c.budgetWin.State()
-		st.BudgetWindow = &bw
-	}
-	if c.generation > 0 {
-		l, err := relayout.LayoutOf(c.space)
-		if err != nil {
-			return nil, fmt.Errorf("remote: snapshot layout: %w", err)
-		}
-		st.Layout = &l
-		st.LayoutFingerprint = c.space.Fingerprint()
 	}
 	return st, nil
 }
@@ -199,113 +83,51 @@ func (c *Curator) Restore(st *CuratorState) error {
 		return fmt.Errorf("remote: Restore on nil state")
 	}
 	if st.Version != CuratorStateVersion {
-		return fmt.Errorf("remote: snapshot version %d, curator supports %d", st.Version, CuratorStateVersion)
+		return fmt.Errorf("remote: snapshot version %d, curator supports only version %d", st.Version, CuratorStateVersion)
+	}
+	if st.Engine == nil {
+		return fmt.Errorf("remote: snapshot carries no engine state")
+	}
+	if st.Engine.Open == nil && (st.Assignments != nil || st.AggCounts != nil || len(st.Folded) > 0) {
+		return fmt.Errorf("remote: snapshot carries an open round's reports but no open round")
+	}
+	if st.AggCounts != nil && !(st.Engine.Open.Epsilon > 0) {
+		return fmt.Errorf("remote: snapshot carries an aggregate for a round that collects nothing")
+	}
+	if st.AggN != len(st.Folded) {
+		return fmt.Errorf("remote: snapshot aggregate holds %d reports, %d users folded", st.AggN, len(st.Folded))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	got, want := c.fingerprint(), st.Config
-	if want.Discretizer == "" && strings.HasPrefix(got.Discretizer, "uniform:") {
-		// Legacy pre-spatial snapshot; see core/state.go for the rationale.
-		want.Discretizer = got.Discretizer
-	}
-	if got != want {
-		return fmt.Errorf("remote: snapshot config %+v does not match curator config %+v", want, got)
-	}
-	if (st.BudgetWindow != nil) != (c.budgetWin != nil) {
-		return fmt.Errorf("remote: snapshot division state does not match curator division")
-	}
-	if st.Phase != int(phaseIdle) && st.Phase != int(phasePlanned) {
-		return fmt.Errorf("remote: snapshot phase %d invalid", st.Phase)
-	}
-	// Put the curator on the layout the snapshot was taken at before loading
-	// the layout-sized state (model vector, aggregate, synthetic cells).
-	switch {
-	case st.Generation > 0:
-		if st.Layout == nil {
-			return fmt.Errorf("remote: snapshot at layout generation %d carries no layout", st.Generation)
-		}
-		sp, err := relayout.FromLayout(*st.Layout)
-		if err != nil {
-			return fmt.Errorf("remote: restore layout: %w", err)
-		}
-		if st.LayoutFingerprint != "" && sp.Fingerprint() != st.LayoutFingerprint {
-			return fmt.Errorf("remote: restored layout fingerprint %s ≠ snapshot %s — corrupt checkpoint",
-				sp.Fingerprint(), st.LayoutFingerprint)
-		}
-		c.adoptSpaceLocked(sp, st.Generation)
-	case c.generation > 0:
-		c.adoptSpaceLocked(c.cfg.Space, 0)
+	// The engine checks the config fingerprint and puts itself on the layout
+	// the snapshot was taken at; everything layout-sized loads after it.
+	if err := c.eng.Restore(st.Engine); err != nil {
+		return fmt.Errorf("remote: %w", err)
 	}
 	if st.Relayout != nil {
 		if err := c.ctl.Restore(*st.Relayout); err != nil {
 			return err
 		}
 	}
-	if st.AggCounts != nil && len(st.AggCounts) != c.dom.Size() {
-		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), c.dom.Size())
+	d := c.eng.Domain().Size()
+	if st.AggCounts != nil && len(st.AggCounts) != d {
+		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), d)
 	}
-	if err := c.rng.SetState(st.RNG); err != nil {
-		return fmt.Errorf("remote: restore rng: %w", err)
-	}
-	if err := c.model.Restore(st.Model); err != nil {
-		return err
-	}
-	if err := c.users.restore(st.Roster); err != nil {
-		return err
-	}
-	c.t = st.T
-	c.phase = phase(st.Phase)
 	c.present = copyBoolSet(st.Present)
 	c.prevPresent = copyBoolSet(st.PrevPresent)
-	c.epsRound = st.EpsRound
-	c.assignments = nil
-	if st.Assignments != nil {
-		c.assignments = make(map[int]Assignment, len(st.Assignments))
-		for id, a := range st.Assignments {
-			c.assignments[id] = a
-		}
-	}
+	c.folded = append(c.folded[:0], st.Folded...)
+	c.foldedPacked = st.FoldedPacked
+	c.assignments = maps.Clone(st.Assignments)
 	c.oracle, c.agg = nil, nil
 	if st.AggCounts != nil {
-		c.oracle = ldp.MustOUE(c.dom.Size(), c.epsRound)
+		round, _ := c.eng.Open()
+		c.oracle = ldp.MustOUE(d, round.Epsilon)
 		c.agg = ldp.NewAggregator(c.oracle)
 		c.agg.AddCounts(st.AggCounts, st.AggN)
 	}
-	c.updater.SetBootstrapped(st.Bootstrapped)
-	c.dev.Restore(st.Dev)
-	c.sig.Restore(st.Sig)
-	if st.BudgetWindow != nil {
-		if err := c.budgetWin.Restore(*st.BudgetWindow); err != nil {
-			return err
-		}
-	}
-	c.ledger = st.Ledger.Clone()
-	c.rounds = st.Rounds
-	c.reports = st.Reports
-	c.synthStage.Synth.Restore(st.Synth)
-	c.timings = st.Timings
-	// Stage-latency metrics are per-round deltas off the cumulative timings;
-	// re-baseline so the first post-restore round doesn't charge the donor's
-	// whole pre-checkpoint runtime as one observation.
-	c.lastTimings = st.Timings
+	c.metrics.generation.Set(float64(c.eng.Generation()))
+	c.metrics.domainSize.Set(float64(d))
 	return nil
-}
-
-// adoptSpaceLocked rebuilds the curator's layout-dependent plumbing over sp
-// without migrating state — the restore path, where the snapshot's vectors
-// (already sized to sp's domain) are loaded right after.
-func (c *Curator) adoptSpaceLocked(sp spatial.Discretizer, generation int) {
-	dom := transition.NewDomain(sp)
-	model := mobility.NewModel(dom)
-	bootstrapped := c.updater.Bootstrapped()
-	c.updater = &pipeline.DMUUpdater{Model: model}
-	c.updater.SetBootstrapped(bootstrapped)
-	c.synthStage.Synth.Relayout(sp, nil)
-	c.synthStage = &pipeline.SynthesisStage{Model: model, Synth: c.synthStage.Synth}
-	c.model = model
-	c.dom = dom
-	c.space = sp
-	c.generation = generation
 }
 
 func copyBoolSet(m map[int]bool) map[int]bool {

@@ -178,8 +178,9 @@ type Options struct {
 	Epsilon float64
 	// Window is the protected window size w (required, ≥ 1).
 	Window int
-	// Division selects budget or population division (default population,
-	// the variant the paper finds strongest).
+	// Division selects budget or population division. The zero value is
+	// BudgetDivision; set PopulationDivision for the variant the paper finds
+	// strongest.
 	Division Division
 	// Strategy is one of StrategyAdaptive (default), StrategyUniform,
 	// StrategySample.
@@ -285,9 +286,8 @@ type Framework struct {
 	engines []*core.Engine        // every underlying engine (1 or Shards)
 	// Online re-discretization (nil unless Options.RediscretizeEvery > 0):
 	// the controller sketches the released stream and proposes rebuilt
-	// layouts; space is the layout currently in effect across all shards.
-	ctl   *relayout.Controller
-	space Discretizer
+	// layouts.
+	ctl *relayout.Controller
 	// mon is the live utility monitor (nil unless Options.MonitorWindow >
 	// 0): run-scoped, RNG-free and excluded from checkpoints.
 	mon *monitor.Monitor
@@ -329,47 +329,31 @@ func New(opts Options) (*Framework, error) {
 			MetricsShard:     shard,
 		})
 	}
-	f := &Framework{space: space}
-	if opts.RediscretizeEvery > 0 {
-		if !relayout.Migratable(space) {
-			return nil, fmt.Errorf("retrasyn: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", space)
-		}
-		leaves := opts.RelayoutLeaves
-		if leaves == 0 {
-			leaves = space.NumCells()
-		}
-		ctl, err := relayout.NewController(relayout.ControllerOptions{
-			Every:     opts.RediscretizeEvery,
-			W:         opts.Window,
-			Threshold: opts.RelayoutThreshold,
-			Quadtree:  spatial.QuadtreeOptions{MaxLeaves: leaves},
-			Bounds:    space.Bounds(),
-			Trigger:   opts.TriggerPolicy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ctl.SetMetrics(opts.Metrics)
-		f.ctl = ctl
-	} else if opts.RediscretizeEvery < 0 {
+	if opts.RediscretizeEvery < 0 {
 		return nil, fmt.Errorf("retrasyn: RediscretizeEvery must be ≥ 0, got %d", opts.RediscretizeEvery)
-	}
-	if err := opts.TriggerPolicy.Validate(); err != nil {
-		return nil, err
 	}
 	if opts.MonitorWindow < 0 {
 		return nil, fmt.Errorf("retrasyn: MonitorWindow must be ≥ 0, got %d", opts.MonitorWindow)
 	}
-	if opts.MonitorWindow > 0 {
-		mon, err := monitor.New(monitor.Options{Window: opts.MonitorWindow})
-		if err != nil {
-			return nil, err
+	if err := opts.TriggerPolicy.Validate(); err != nil {
+		return nil, err
+	}
+	var ctlOpts *relayout.ControllerOptions
+	if opts.RediscretizeEvery > 0 {
+		if !relayout.Migratable(space) {
+			return nil, fmt.Errorf("retrasyn: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", space)
 		}
-		mon.SetMetrics(opts.Metrics)
-		f.mon = mon
-		if f.ctl != nil {
-			f.ctl.SetAlarmSource(mon)
+		ctlOpts = &relayout.ControllerOptions{
+			Every:     opts.RediscretizeEvery,
+			W:         opts.Window,
+			Threshold: opts.RelayoutThreshold,
+			Quadtree:  spatial.QuadtreeOptions{MaxLeaves: opts.RelayoutLeaves},
+			Trigger:   opts.TriggerPolicy,
 		}
+	}
+	f := &Framework{}
+	if f.ctl, f.mon, err = core.NewLayoutControl(space, ctlOpts, opts.MonitorWindow, opts.Metrics); err != nil {
+		return nil, err
 	}
 	if opts.TriggerPolicy.UsesAlarms() {
 		if f.ctl == nil {
@@ -467,85 +451,15 @@ func (f *Framework) ProcessTimestamp(events []Event, activeUsers int) error {
 	}
 	t := f.t
 	f.t++
-	if f.ctl != nil || f.mon != nil {
-		if err := f.adaptLayout(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// adaptLayout runs the post-timestamp observation loop: sketch the released
-// positions for the re-discretization controller and the utility monitor,
-// close the monitor's round (so the degradation trigger sees alarms that
-// include timestamp t), and at every rebuild boundary grow a fresh layout
-// from the sketch and migrate all shards when the trigger policy says to.
-func (f *Framework) adaptLayout(t int) error {
-	var pts []Point
-	for _, e := range f.engines {
-		pts = e.ReleasedPositions(pts)
-	}
-	if f.ctl != nil {
-		f.ctl.Observe(t, pts)
-	}
-	f.observeMonitor(t, pts)
-	if f.ctl == nil || !f.ctl.Due(t) {
+	if f.ctl == nil && f.mon == nil {
 		return nil
 	}
-	prop, err := f.ctl.Propose(f.space)
-	if err != nil {
+	// Sketch the release, close the monitor's round and, at a rebuild
+	// boundary, migrate every shard (see core.AdaptLayout for the ordering).
+	if _, err := core.AdaptLayout(f.engines, f.ctl, f.mon, t, 0); err != nil {
 		return fmt.Errorf("retrasyn: re-discretization after timestamp %d: %w", t, err)
 	}
-	if !prop.Switch {
-		return nil
-	}
-	if err := f.Relayout(prop.Target); err != nil {
-		return fmt.Errorf("retrasyn: re-discretization after timestamp %d: %w", t, err)
-	}
-	f.ctl.NoteSwitch(prop.Distance)
-	// The stationary level of the layout-dependent monitor signals moves
-	// with the discretization: re-learn their baselines on the new layout.
-	f.mon.NoteRelayout()
 	return nil
-}
-
-// observeMonitor feeds the utility monitor after timestamp t: the released
-// positions plus the shards' last reported DP estimates folded onto the
-// current layout (summed across shards — every shard runs the same layout,
-// so the per-cell masses align). Rounds where no shard reported at t are
-// closed without a divergence sample. The round closes against the sketch
-// *before* this timestamp's release is folded in — the synthesizer adapts
-// to the estimates within the round, so sketching first would dilute a
-// regime change with the already-adapted stream.
-func (f *Framework) observeMonitor(t int, pts []Point) {
-	if f.mon == nil {
-		return
-	}
-	var cellEst []float64
-	var sigSum float64
-	reported := 0
-	for _, e := range f.engines {
-		est, sig, lt, ok := e.LastReportedRound()
-		if !ok || lt != t {
-			continue
-		}
-		masses := monitor.CellMasses(e.Domain(), est, nil)
-		if cellEst == nil {
-			cellEst = masses
-		} else {
-			for i := range cellEst {
-				cellEst[i] += masses[i]
-			}
-		}
-		sigSum += sig
-		reported++
-	}
-	var sigRatio float64
-	if reported > 0 {
-		sigRatio = sigSum / float64(reported)
-	}
-	f.mon.Round(t, f.space, cellEst, sigRatio, 0)
-	f.mon.ObserveRelease(t, pts)
 }
 
 // Health returns the utility monitor's structured verdict. Without a
@@ -557,21 +471,11 @@ func (f *Framework) Health() Health { return f.mon.Health() }
 // through the cell-overlap weights (see core.Engine.Relayout). It may be
 // called manually at any quiescent point; the automatic path driven by
 // Options.RediscretizeEvery goes through it too.
-func (f *Framework) Relayout(d Discretizer) error {
-	if f.coord != nil {
-		if err := f.coord.Relayout(d); err != nil {
-			return err
-		}
-	} else if err := f.engine.Relayout(d); err != nil {
-		return err
-	}
-	f.space = d
-	return nil
-}
+func (f *Framework) Relayout(d Discretizer) error { return core.RelayoutAll(f.engines, d) }
 
 // Space returns the spatial discretization currently in effect (the boot
 // discretizer until the first relayout).
-func (f *Framework) Space() Discretizer { return f.space }
+func (f *Framework) Space() Discretizer { return f.engines[0].Space() }
 
 // LayoutGeneration returns how many layout migrations the framework has
 // applied.
@@ -640,7 +544,7 @@ func (f *Framework) RunAdaptive(raw *RawDataset) (*Dataset, RunStats, error) {
 		return nil, RunStats{}, fmt.Errorf("retrasyn: RunAdaptive on a framework that already processed %d timestamps", f.t)
 	}
 	discretize := func() *trajectory.Stream {
-		return trajectory.NewStream(trajectory.Discretize(raw, f.space, trajectory.DiscretizeOptions{}))
+		return trajectory.NewStream(trajectory.Discretize(raw, f.Space(), trajectory.DiscretizeOptions{}))
 	}
 	stream := discretize()
 	for t := 0; t < stream.T; t++ {
@@ -683,25 +587,18 @@ type Checkpoint struct {
 // must be quiescent (no ProcessTimestamp in flight); the returned checkpoint
 // is a deep copy that later processing never mutates.
 func (f *Framework) Snapshot() (*Checkpoint, error) {
-	cp := &Checkpoint{Version: CheckpointVersion, T: f.t, Shards: 1}
+	cp := &Checkpoint{Version: CheckpointVersion, T: f.t, Shards: len(f.engines)}
 	if f.ctl != nil {
 		st := f.ctl.State()
 		cp.Relayout = &st
 	}
-	if f.coord != nil {
-		states, err := f.coord.Snapshot()
+	for i, e := range f.engines {
+		st, err := e.SnapshotState()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("retrasyn: snapshot shard %d: %w", i, err)
 		}
-		cp.Shards = f.coord.NumShards()
-		cp.States = states
-		return cp, nil
+		cp.States = append(cp.States, st)
 	}
-	st, err := f.engine.SnapshotState()
-	if err != nil {
-		return nil, err
-	}
-	cp.States = []json.RawMessage{st}
 	return cp, nil
 }
 
@@ -726,21 +623,16 @@ func Restore(opts Options, cp *Checkpoint) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.coord != nil {
-		if err := f.coord.Restore(cp.States); err != nil {
-			return nil, err
+	for i, e := range f.engines {
+		if err := e.RestoreState(cp.States[i]); err != nil {
+			return nil, fmt.Errorf("retrasyn: restore shard %d: %w", i, err)
 		}
-	} else if err := f.engine.RestoreState(cp.States[0]); err != nil {
-		return nil, err
 	}
 	if f.ctl != nil && cp.Relayout != nil {
 		if err := f.ctl.Restore(*cp.Relayout); err != nil {
 			return nil, err
 		}
 	}
-	// Every shard restored onto the layout its blob recorded; pick the
-	// in-effect layout up from the engines (they migrate in lockstep).
-	f.space = f.engines[0].Space()
 	f.t = cp.T
 	return f, nil
 }
