@@ -1,6 +1,6 @@
 package retrasyn
 
-// Ablation benches for the design choices DESIGN.md calls out: the
+// Ablation benches for three design choices: the
 // frequency-oracle protocol (the paper picks OUE), consistency
 // post-processing of the estimates (the paper uses raw estimates), and the
 // parallel synthesis path (§VII future work). Utility ablations report the

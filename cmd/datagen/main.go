@@ -1,6 +1,6 @@
 // Command datagen generates the standard evaluation datasets (the
 // substitutes for T-Drive, Oldenburg and SanJoaquin documented in
-// DESIGN.md §3) and writes them as raw-trajectory CSV.
+// internal/datagen) and writes them as raw-trajectory CSV.
 //
 // Usage:
 //

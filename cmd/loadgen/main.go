@@ -336,7 +336,10 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 	for i := range gws {
 		gws[i] = remote.NewGateway(baseURL, nil)
 		gws[i].SetWire(wire)
-		rngs[i] = ldp.NewRand(r.seed+uint64(i), r.seed^0x9e3779b97f4a7c15)
+		// A padded Source, not NewRand: each goroutine writes its generator
+		// on every draw, and bare 16-byte PCGs allocated back to back share a
+		// cache line.
+		rngs[i] = ldp.NewSource(r.seed+uint64(i), r.seed^0x9e3779b97f4a7c15)
 		oracles[i] = map[float64]*ldp.OUE{}
 	}
 	co := remote.NewCoordinator(baseURL, nil)

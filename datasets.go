@@ -5,9 +5,8 @@ import (
 	"retrasyn/internal/trajectory"
 )
 
-// Dataset generation — the substitutes for the paper's evaluation data
-// (DESIGN.md §3), exposed for downstream benchmarking and the runnable
-// examples.
+// Dataset generation — the substitutes for the paper's evaluation data,
+// exposed for downstream benchmarking and the runnable examples.
 
 // TDriveConfig parameterizes the hotspot-gravity taxi simulator.
 type TDriveConfig = datagen.TDriveConfig

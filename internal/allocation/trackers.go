@@ -6,10 +6,9 @@ import (
 )
 
 // DevTracker computes the stream deviation Dev_t of Eq. 9 from the recent
-// history of (perturbed) transition-frequency vectors. Following DESIGN.md
-// §5.1 the per-state differences are taken in absolute value — the signed
-// sum of the paper's printed formula telescopes to ≈0 for normalized
-// frequencies:
+// history of (perturbed) transition-frequency vectors. The per-state
+// differences are taken in absolute value — the signed sum of the paper's
+// printed formula telescopes to ≈0 for normalized frequencies:
 //
 //	Dev_t = Σ_s | f^{t−1}_s − (1/κ) Σ_{k=t−κ−1}^{t−2} f^k_s |
 //

@@ -63,6 +63,10 @@ type LayoutChange struct {
 	// Migration is the wall time that took.
 	Switched  bool
 	Migration time.Duration
+	// Observe is the wall time AdaptLayout spent watching the round — the
+	// release sketch plus the monitor's round — before any rebuild (zero from
+	// Rediscretize).
+	Observe time.Duration
 }
 
 // AdaptLayout runs the post-round observation loop after timestamp t closed
@@ -74,30 +78,34 @@ type LayoutChange struct {
 // And the monitor closes its round before the trigger is consulted, so a
 // degradation policy sees alarms that include timestamp t. errs is the
 // deployment's cumulative error count (the monitor's errors signal). ctl and
-// mon may each be nil.
+// mon may each be nil; with both nil nothing is sketched.
 func AdaptLayout(engines []*Engine, ctl *relayout.Controller, mon *monitor.Monitor, t int, errs int64) (LayoutChange, error) {
-	n := 0
-	for _, e := range engines {
-		n += e.synth.ActiveCount()
+	if ctl == nil && mon == nil {
+		return LayoutChange{}, nil
 	}
-	pts := make([]spatial.Point, 0, n)
+	start := time.Now()
+	first := engines[0]
+	pts := first.posBuf[:0]
 	for _, e := range engines {
 		pts = e.ReleasedPositions(pts)
 	}
+	first.posBuf = pts // both observers copy what they keep
 	if ctl != nil {
 		ctl.Observe(t, pts)
 	}
 	var rep monitor.RoundReport
 	if mon != nil {
 		cellEst, sigRatio := reportedEstimates(engines, t)
-		rep = mon.Round(t, engines[0].space, cellEst, sigRatio, errs)
+		rep = mon.Round(t, first.space, cellEst, sigRatio, errs)
 		mon.ObserveRelease(t, pts)
 	}
+	observe := time.Since(start)
+	first.mObserve.Observe(observe)
 	if ctl == nil || !ctl.Due(t) {
-		return LayoutChange{Monitor: rep}, nil
+		return LayoutChange{Monitor: rep, Observe: observe}, nil
 	}
 	ch, err := Rediscretize(engines, ctl, mon, false)
-	ch.Monitor = rep
+	ch.Monitor, ch.Observe = rep, observe
 	return ch, err
 }
 

@@ -209,6 +209,7 @@ type Engine struct {
 	// (no-op) unless Options.Metrics was set. Never checkpointed.
 	metrics     *pipeline.Metrics
 	meter       *allocation.Meter
+	mObserve    *obs.Histogram   // AdaptLayout's wall time, recorded on engine 0
 	lastTimings pipeline.Timings // stats.Timings at the previous Close
 
 	// lastEstimates/lastSigRatio retain the most recent reported round's DP
@@ -224,6 +225,8 @@ type Engine struct {
 	sampleBuf []trajectory.Event
 	idBuf     []int
 	quitBuf   []int
+	cellBuf   []spatial.Cell  // ReleasedPositions: the live streams' cells
+	posBuf    []spatial.Point // AdaptLayout: the fleet's positions, on engine 0
 }
 
 // New creates an engine.
@@ -263,6 +266,7 @@ func newEngine(opts Options, rngStream uint64) (*Engine, error) {
 	e.bootFP = e.configFingerprint()
 	e.metrics = pipeline.NewMetrics(opts.Metrics, opts.MetricsShard)
 	e.meter = allocation.NewMeter(opts.Metrics, opts.W)
+	e.mObserve = opts.Metrics.Histogram("relayout.observe_duration_us")
 	if opts.Division == allocation.Budget {
 		e.budgetWin = allocation.NewBudgetWindow(opts.W)
 	} else {
@@ -321,7 +325,8 @@ func (e *Engine) Generation() int { return e.generation }
 func (e *Engine) ReleasedPositions(buf []spatial.Point) []spatial.Point {
 	boxed, _ := e.space.(spatial.Boxed)
 	poly, _ := e.space.(spatial.Overlapper)
-	for _, c := range e.synth.ActiveCells(nil) {
+	e.cellBuf = e.synth.ActiveCells(e.cellBuf[:0])
+	for _, c := range e.cellBuf {
 		// Index the spread sequence by the position in buf, not the
 		// per-engine stream index: a sharded framework accumulates all
 		// shards into one buffer, and restarting the sequence per shard

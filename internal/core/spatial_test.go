@@ -13,7 +13,7 @@ import (
 
 // testQuadtree grows a small density-adaptive quadtree whose hotspot sits
 // in the bottom-left corner, mirroring the skew the backend exists for.
-func testQuadtree(t *testing.T) *spatial.Quadtree {
+func testQuadtree(t testing.TB) *spatial.Quadtree {
 	t.Helper()
 	rng := ldp.NewRand(555, 556)
 	pts := make([]spatial.Point, 0, 3000)

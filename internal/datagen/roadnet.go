@@ -1,7 +1,7 @@
-// Package datagen provides the dataset substitutes documented in DESIGN.md
-// §3: a hotspot-gravity taxi simulator standing in for the proprietary
-// T-Drive traces, and a road-network moving-object generator reproducing
-// the process of Brinkhoff's generator used for the paper's Oldenburg and
+// Package datagen provides substitutes for the paper's evaluation datasets:
+// a hotspot-gravity taxi simulator standing in for the proprietary T-Drive
+// traces, and a road-network moving-object generator reproducing the
+// process of Brinkhoff's generator used for the paper's Oldenburg and
 // SanJoaquin datasets. Both emit continuous raw trajectories; the pipeline
 // discretizes them onto whatever grid an experiment selects.
 package datagen

@@ -9,7 +9,7 @@ import (
 // datasets, with a scale knob multiplying the user population. At scale 1
 // they run the full evaluation on a laptop in minutes; pushing the scale up
 // approaches the paper's raw sizes (the utility metrics are ratios and
-// divergences, stable under population scaling — DESIGN.md §3).
+// divergences, stable under population scaling).
 
 // Spec describes a standard dataset: how to generate it and the grid bounds
 // experiments should discretize it with.

@@ -9,7 +9,7 @@ import (
 )
 
 // TDriveConfig parameterizes the hotspot-gravity taxi simulator that stands
-// in for the proprietary T-Drive traces (DESIGN.md §3): short sessions,
+// in for the proprietary T-Drive traces: short sessions,
 // skewed spatial density around hotspots, and time-of-day flow reversal —
 // residential→business in the morning rush, the reverse in the evening —
 // which produces the drifting transition distributions the DMU mechanism is

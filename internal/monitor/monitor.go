@@ -48,9 +48,11 @@ type Options struct {
 // consume.
 //
 // The released sketch stores continuous points, so it survives relayouts
-// unchanged — each round folds it onto the *current* discretization before
-// comparing. All methods are safe for concurrent use and nil-safe, so a nil
-// *Monitor is a valid "monitoring off" value.
+// unchanged. Its histogram over the *current* discretization is kept
+// incrementally (relayout.DensityTracker.Counts): a round folds only the
+// release observed since the previous one, and a round on a new layout
+// refolds the window once. All methods are safe for concurrent use and
+// nil-safe, so a nil *Monitor is a valid "monitoring off" value.
 type Monitor struct {
 	mu      sync.Mutex
 	window  int
@@ -156,8 +158,8 @@ type RoundReport struct {
 	Raised []string
 }
 
-// Round closes timestamp t: it folds the release sketch onto space, compares
-// it against cellEst (per-cell DP-estimated mass, len == space.NumCells();
+// Round closes timestamp t: it compares the release sketch's histogram over
+// space against cellEst (per-cell DP-estimated mass, len == space.NumCells();
 // nil on unreported rounds), and steps every detector. totalErrors is the
 // cumulative round-error count — the monitor differences it internally.
 func (m *Monitor) Round(t int, space spatial.Discretizer, cellEst []float64, sigRatio float64, totalErrors int64) RoundReport {
@@ -171,8 +173,7 @@ func (m *Monitor) Round(t int, space spatial.Discretizer, cellEst []float64, sig
 	var rep RoundReport
 	reported := space != nil && len(cellEst) == space.NumCells() && space.NumCells() > 0
 	if reported && m.tracker.Len() > 0 {
-		released := foldPoints(space, m.tracker.Points())
-		rep.L1, rep.JS = divergence(released, denoise(cellEst))
+		rep.L1, rep.JS = divergence(m.tracker.Counts(space), denoise(cellEst))
 		rep.Computed = true
 		m.l1, m.js = rep.L1, rep.JS
 		m.computedT = t
@@ -256,18 +257,6 @@ func (m *Monitor) Alarming() bool {
 		}
 	}
 	return false
-}
-
-// foldPoints histograms continuous points onto the discretization.
-func foldPoints(space spatial.Discretizer, pts []spatial.Point) []float64 {
-	out := make([]float64, space.NumCells())
-	for _, p := range pts {
-		c := space.CellOf(p.X, p.Y)
-		if c >= 0 && int(c) < len(out) {
-			out[int(c)]++
-		}
-	}
-	return out
 }
 
 // denoise soft-thresholds a DP-estimated mass vector by its per-cell median:

@@ -18,6 +18,7 @@ func TestWritePrometheusLints(t *testing.T) {
 	r.Gauge("monitor.release_divergence", Label{Key: "metric", Value: "js"}).Set(0.031)
 	r.Gauge("weird.label", Label{Key: "v", Value: "quote\"back\\slash\nnewline"}).Set(1)
 	r.Histogram("empty.hist") // zero observations
+	r.Histogram("relayout.observe_duration_us").ObserveValue(1300)
 	h := r.Histogram("pipeline.stage.latency_us",
 		Label{Key: "shard", Value: "0"}, Label{Key: "stage", Value: "dmu"})
 	for _, v := range []int64{0, 1, 31, 32, 1000, 1 << 20, 1 << 40} {

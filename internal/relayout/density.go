@@ -44,9 +44,18 @@ import (
 // sequence involves no RNG, so observing the release never perturbs it.
 func SpreadInBox(b spatial.Bounds, i int) spatial.Point {
 	const a1, a2 = 0.7548776662466927, 0.5698402909980532
-	fx := math.Mod(float64(i+1)*a1, 1)
-	fy := math.Mod(float64(i+1)*a2, 1)
-	return spatial.Point{X: b.MinX + fx*b.Width(), Y: b.MinY + fy*b.Height()}
+	x := float64(i + 1)
+	return spatial.Point{X: b.MinX + fracMul(x, a1)*b.Width(), Y: b.MinY + fracMul(x, a2)*b.Height()}
+}
+
+// fracMul returns the fractional part of x·a for a finite product ≥ 0, bit
+// for bit what math.Mod(x*a, 1) returns at a fraction of its cost: below 1
+// the floor is 0, and from 1 up ⌊v⌋ ≥ v/2, so the subtraction is exact
+// (Sterbenz). The conversion rounds the product before it is used, so no
+// platform fuses the multiplication into the subtraction.
+func fracMul(x, a float64) float64 {
+	v := float64(x * a)
+	return v - math.Floor(v)
 }
 
 // SpreadInPieces is SpreadInBox for polygonal cells (spatial.Overlapper):
@@ -69,7 +78,8 @@ func SpreadInPieces(pieces [][]spatial.Point, i int) spatial.Point {
 	if total <= 0 {
 		return spatial.Point{}
 	}
-	target := math.Mod(float64(i+1)*golden, 1) * total
+	x := float64(i + 1)
+	target := fracMul(x, golden) * total
 	var a, b, c spatial.Point
 	acc := 0.0
 	found := false
@@ -88,8 +98,8 @@ pick:
 		last := pieces[len(pieces)-1]
 		a, b, c = last[0], last[len(last)-2], last[len(last)-1]
 	}
-	u := math.Mod(float64(i+1)*a1, 1)
-	v := math.Mod(float64(i+1)*a2, 1)
+	u := fracMul(x, a1)
+	v := fracMul(x, a2)
 	if u+v > 1 { // fold the unit square onto the triangle
 		u, v = 1-u, 1-v
 	}
@@ -105,15 +115,24 @@ func triArea(a, b, c spatial.Point) float64 {
 
 // DensityTracker accumulates a sliding-window density sketch over the most
 // recent window of released synthetic positions. One Observe call per
-// timestamp records the current positions of the released streams (cell
-// centers); once the window fills, the oldest timestamp's points retire. The
-// tracker stores continuous points, so its contents survive layout switches
-// unchanged. Not safe for concurrent use.
+// timestamp records the current positions of the released streams; once the
+// window fills, the oldest timestamp's points retire. The tracker stores
+// continuous points, so its contents survive layout switches unchanged. Not
+// safe for concurrent use.
 type DensityTracker struct {
 	cap   int               // timestamps retained
 	slots [][]spatial.Point // ring keyed t % cap
 	ts    []int             // timestamp occupying each slot; -1 empty
 	n     int               // total points currently held
+
+	// The folded view Counts serves: the window histogrammed onto one
+	// discretizer, kept incrementally. Derived from slots, rebuilt lazily and
+	// never part of TrackerState. Counts are integers held in float64, so
+	// adding and subtracting them is exact in any order.
+	space      spatial.Discretizer // layout folded on; nil until the first Counts
+	counts     []float64           // Σ slotCounts: per-cell points in the window
+	slotCounts [][]float64         // per-slot share of counts
+	dirty      []bool              // slot's points are not in the counts yet
 }
 
 // NewDensityTracker creates a tracker retaining the last capTimestamps
@@ -140,14 +159,82 @@ func (d *DensityTracker) Observe(t int, pts []spatial.Point) {
 		return
 	}
 	slot := t % d.cap
+	d.retire(slot)
 	d.n -= len(d.slots[slot])
 	d.slots[slot] = append(d.slots[slot][:0], pts...)
 	d.ts[slot] = t
 	d.n += len(pts)
 }
 
+// retire takes a slot's points out of the folded view ahead of the slot being
+// overwritten; the next Counts folds whatever the slot then holds.
+func (d *DensityTracker) retire(slot int) {
+	if d.space == nil || d.dirty[slot] {
+		return
+	}
+	for c, v := range d.slotCounts[slot] {
+		d.counts[c] -= v
+		d.slotCounts[slot][c] = 0
+	}
+	d.dirty[slot] = true
+}
+
 // Len returns the number of points currently held.
 func (d *DensityTracker) Len() int { return d.n }
+
+// Counts returns the sketch histogrammed onto space: element c is the number
+// of retained points space.CellOf places in cell c. The view is incremental —
+// a call folds only the timestamps observed since the previous one, so every
+// point passes through CellOf once per layout, not once per call — and a
+// different space (or a Restore) refolds the whole window once. The returned
+// slice is the tracker's own: read it before the next Observe, Counts or
+// Restore, and do not modify it.
+func (d *DensityTracker) Counts(space spatial.Discretizer) []float64 {
+	if !d.foldedOn(space) {
+		d.space = space
+		d.counts = make([]float64, space.NumCells())
+		d.slotCounts = make([][]float64, d.cap)
+		d.dirty = make([]bool, d.cap)
+		for slot := range d.slotCounts {
+			d.slotCounts[slot] = make([]float64, len(d.counts))
+			d.dirty[slot] = true
+		}
+	}
+	for slot, dirty := range d.dirty {
+		if !dirty {
+			continue
+		}
+		d.dirty[slot] = false
+		if d.ts[slot] < 0 {
+			continue
+		}
+		sc := d.slotCounts[slot]
+		for _, p := range d.slots[slot] {
+			if c := int(space.CellOf(p.X, p.Y)); c >= 0 && c < len(sc) {
+				sc[c]++
+				d.counts[c]++
+			}
+		}
+	}
+	return d.counts
+}
+
+// foldedOn reports whether the folded view is valid for space. Identity
+// settles the per-round case; fingerprints (the grid formats its own on every
+// call) are compared only when the objects differ, so an equal layout
+// rebuilt elsewhere keeps the view.
+func (d *DensityTracker) foldedOn(space spatial.Discretizer) bool {
+	if d.space == nil {
+		return false
+	}
+	if d.space != space {
+		if d.space.Fingerprint() != space.Fingerprint() {
+			return false
+		}
+		d.space = space
+	}
+	return true
+}
 
 // Points returns the sketch: every retained point, ordered by timestamp
 // (oldest first) and within a timestamp by observation order. The
@@ -195,6 +282,7 @@ func (d *DensityTracker) Restore(st TrackerState) error {
 			st.Cap, len(st.Slots), len(st.Ts), d.cap)
 	}
 	d.n = 0
+	d.space = nil // the folded view described the replaced contents
 	for i := range d.slots {
 		d.slots[i] = append(d.slots[i][:0], st.Slots[i]...)
 		d.ts[i] = st.Ts[i]

@@ -115,9 +115,10 @@ func (c *Curator) relayoutError(t int, err error) error {
 
 // traceRound emits the per-round tracer event: the plan the round opened
 // with, what closing it did (res.Stages covers the report folds since the
-// previous Finalize plus this round's estimate/DMU/synthesis work) and what
-// the layout observers saw. Divergence keys carry −1 on rounds where it was
-// not computed (unreported round or empty release sketch). Called under c.mu.
+// previous Finalize plus this round's estimate/DMU/synthesis work), what the
+// layout observers saw and how long watching took. Divergence keys carry −1
+// on rounds where it was not computed (unreported round or empty release
+// sketch). Called under c.mu.
 func (c *Curator) traceRound(round core.OpenRound, res pipeline.StepResult, ch core.LayoutChange) {
 	if c.tracer == nil {
 		return
@@ -142,6 +143,7 @@ func (c *Curator) traceRound(round core.OpenRound, res pipeline.StepResult, ch c
 		"model_construction_us", res.Stages.ModelConstruction.Microseconds(),
 		"dmu_us", res.Stages.DMU.Microseconds(),
 		"synthesis_us", res.Stages.Synthesis.Microseconds(),
+		"observe_us", ch.Observe.Microseconds(),
 		"domain_size", c.eng.Domain().Size(),
 		"generation", c.eng.Generation(),
 		"relayout_switched", ch.Switched,

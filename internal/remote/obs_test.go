@@ -204,6 +204,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		`wire_bytes_in{path="/v1/report"}`,
 		`wire_requests{format=`,
 		"relayout_generation ",
+		"relayout_observe_duration_us_count ",
 		"curator_domain_size ",
 	} {
 		if !strings.Contains(end, want) {
@@ -318,7 +319,7 @@ func TestTracerSchema(t *testing.T) {
 	for _, key := range []string{
 		"t", "reported", "reports", "epsilon", "pool", "sampled",
 		"sig_ratio", "significant", "model_construction_us", "dmu_us",
-		"synthesis_us", "domain_size", "generation", "relayout_switched",
+		"synthesis_us", "observe_us", "domain_size", "generation", "relayout_switched",
 		"divergence", "divergence_l1", "alarms", "trigger_fired",
 	} {
 		if _, ok := ev[key]; !ok {

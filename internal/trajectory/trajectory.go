@@ -209,8 +209,8 @@ type Event struct {
 // Stream precomputes the per-timestamp event lists of a dataset: at each
 // timestamp a present user contributes exactly one transition state —
 // enter at Start, a movement while continuing, and a final quit report at
-// End+1 (graceful shutdown, see DESIGN.md §5.3). Quit events beyond the
-// timeline are dropped (the stream simply ends with the data).
+// End+1 (graceful shutdown). Quit events beyond the timeline are dropped
+// (the stream simply ends with the data).
 type Stream struct {
 	T       int
 	Events  [][]Event // per timestamp

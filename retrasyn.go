@@ -292,6 +292,8 @@ type Framework struct {
 	// 0): run-scoped, RNG-free and excluded from checkpoints.
 	mon *monitor.Monitor
 	t   int
+	// seen is ProcessTimestamp's duplicate-user scratch, cleared per call.
+	seen map[int]struct{}
 }
 
 // New constructs a Framework.
@@ -351,7 +353,7 @@ func New(opts Options) (*Framework, error) {
 			Trigger:   opts.TriggerPolicy,
 		}
 	}
-	f := &Framework{}
+	f := &Framework{seen: make(map[int]struct{})}
 	if f.ctl, f.mon, err = core.NewLayoutControl(space, ctlOpts, opts.MonitorWindow, opts.Metrics); err != nil {
 		return nil, err
 	}
@@ -435,12 +437,12 @@ func (f *Framework) ProcessTimestamp(events []Event, activeUsers int) error {
 	if activeUsers < 0 {
 		return fmt.Errorf("retrasyn: ProcessTimestamp(t=%d): activeUsers must be ≥ 0, got %d", f.t, activeUsers)
 	}
-	seen := make(map[int]struct{}, len(events))
+	clear(f.seen)
 	for _, ev := range events {
-		if _, dup := seen[ev.User]; dup {
+		if _, dup := f.seen[ev.User]; dup {
 			return fmt.Errorf("retrasyn: ProcessTimestamp(t=%d): duplicate event for user %d — each user reports at most one transition state per timestamp", f.t, ev.User)
 		}
-		seen[ev.User] = struct{}{}
+		f.seen[ev.User] = struct{}{}
 	}
 	if f.coord != nil {
 		if _, err := f.coord.ProcessTimestamp(f.t, events, activeUsers); err != nil {
@@ -451,11 +453,9 @@ func (f *Framework) ProcessTimestamp(events []Event, activeUsers int) error {
 	}
 	t := f.t
 	f.t++
-	if f.ctl == nil && f.mon == nil {
-		return nil
-	}
 	// Sketch the release, close the monitor's round and, at a rebuild
-	// boundary, migrate every shard (see core.AdaptLayout for the ordering).
+	// boundary, migrate every shard (see core.AdaptLayout for the ordering;
+	// a no-op without a controller or monitor).
 	if _, err := core.AdaptLayout(f.engines, f.ctl, f.mon, t, 0); err != nil {
 		return fmt.Errorf("retrasyn: re-discretization after timestamp %d: %w", t, err)
 	}

@@ -376,6 +376,31 @@ func TestProcessTimestampValidation(t *testing.T) {
 	if fw.Timestamp() != 1 {
 		t.Fatalf("framework did not advance on valid input")
 	}
+	// The duplicate check's scratch is reused across timestamps: a user seen
+	// at t must not count as a duplicate at t+1, while a duplicate inside t+1
+	// is still caught before anything changed.
+	before := datasetFingerprint(fw.Synthetic("syn"))
+	dup = []Event{
+		{User: 7, State: MoveState(0, 1)},
+		{User: 9, State: EnterState(2)},
+		{User: 9, State: EnterState(3)},
+	}
+	if err := fw.ProcessTimestamp(dup, 3); err == nil || !strings.Contains(err.Error(), "user 9") {
+		t.Fatalf("duplicate inside t+1: got %v, want an error naming user 9", err)
+	}
+	if fw.Timestamp() != 1 || datasetFingerprint(fw.Synthetic("syn")) != before {
+		t.Fatal("rejected duplicate at t+1 changed the framework")
+	}
+	again := []Event{
+		{User: 7, State: MoveState(0, 1)},
+		{User: 8, State: MoveState(1, 1)},
+	}
+	if err := fw.ProcessTimestamp(again, 2); err != nil {
+		t.Fatalf("users present at t rejected at t+1: %v", err)
+	}
+	if fw.Timestamp() != 2 {
+		t.Fatal("framework did not advance at t+1")
+	}
 }
 
 // TestFrameworkMetricsBitIdentical is the golden bit-identity gate for the
