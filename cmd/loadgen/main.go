@@ -328,19 +328,71 @@ func eachGateway(n int, fn func(i int) error) error {
 	return nil
 }
 
+// devicePool stands in for one gateway's devices: it perturbs the sampled
+// users' transition states with the gateway's own random source.
+type devicePool struct {
+	dom     *transition.Domain
+	rng     ldp.Rand
+	oracles map[float64]budgetOracle
+	row     ldp.PackedReport // word buffer every dense report is drawn into
+}
+
+// budgetOracle is the oracle of one per-report budget and whether rounds at
+// that budget are dense (ldp.PreferPacked).
+type budgetOracle struct {
+	*ldp.OUE
+	dense bool
+}
+
+func newDevicePool(dom *transition.Domain, rng ldp.Rand) *devicePool {
+	return &devicePool{dom: dom, rng: rng, oracles: map[float64]budgetOracle{}, row: make(ldp.PackedReport, ldp.PackedWords(dom.Size()))}
+}
+
+// perturb randomizes the state of every user the round sampled. A dense
+// round (ldp.PreferPacked; ε is uniform within a round) perturbs straight
+// into the wire payload — word buffer → PackedBatchReport.Bits — with the
+// draws, and so the bytes, of the index-list route through
+// remote.PackReportBatch; a sparse round keeps the index lists.
+func (p *devicePool) perturb(users []int, states []transition.State, as []remote.Assignment) (packed []remote.PackedBatchReport, sparse []remote.BatchReport, err error) {
+	d := p.dom.Size()
+	for j, a := range as {
+		if !a.Report {
+			continue
+		}
+		idx, ok := p.dom.Index(states[j])
+		if !ok {
+			return nil, nil, fmt.Errorf("state %v for user %d escaped the domain filter", states[j], users[j])
+		}
+		oracle, ok := p.oracles[a.Epsilon]
+		if !ok {
+			o, err := ldp.NewOUE(d, a.Epsilon)
+			if err != nil {
+				return nil, nil, err
+			}
+			oracle = budgetOracle{o, ldp.PreferPacked(d, a.Epsilon)}
+			p.oracles[a.Epsilon] = oracle
+		}
+		if oracle.dense {
+			oracle.PerturbPackedInto(p.rng, idx, p.row)
+			packed = append(packed, remote.PackedBatchReport{User: users[j], Bits: p.row.Bytes(d)})
+		} else {
+			sparse = append(sparse, remote.BatchReport{User: users[j], Ones: oracle.Perturb(p.rng, idx)})
+		}
+	}
+	return packed, sparse, nil
+}
+
 // replayHTTP drives the full wire protocol against a live curator.
 func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchReport) error {
 	gws := make([]*remote.Gateway, r.gateways)
-	rngs := make([]ldp.Rand, r.gateways)
-	oracles := make([]map[float64]*ldp.OUE, r.gateways)
+	devices := make([]*devicePool, r.gateways)
 	for i := range gws {
 		gws[i] = remote.NewGateway(baseURL, nil)
 		gws[i].SetWire(wire)
 		// A padded Source, not NewRand: each goroutine writes its generator
 		// on every draw, and bare 16-byte PCGs allocated back to back share a
 		// cache line.
-		rngs[i] = ldp.NewSource(r.seed+uint64(i), r.seed^0x9e3779b97f4a7c15)
-		oracles[i] = map[float64]*ldp.OUE{}
+		devices[i] = newDevicePool(r.dom, ldp.NewSource(r.seed+uint64(i), r.seed^0x9e3779b97f4a7c15))
 	}
 	co := remote.NewCoordinator(baseURL, nil)
 	d := r.dom.Size()
@@ -401,45 +453,24 @@ func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchRepo
 				return err
 			}
 			assignmentsLat.Observe(time.Since(start))
-			var reports []remote.BatchReport
-			var roundEps float64 // the sampled users' ε (uniform within a round)
-			for j, a := range as {
-				if !a.Report {
-					continue
-				}
-				roundEps = a.Epsilon
-				idx, ok := r.dom.Index(states[i][j])
-				if !ok {
-					return fmt.Errorf("state %v for user %d escaped the domain filter", states[i][j], users[i][j])
-				}
-				oracle, ok := oracles[i][a.Epsilon]
-				if !ok {
-					oracle, err = ldp.NewOUE(d, a.Epsilon)
-					if err != nil {
-						return err
-					}
-					oracles[i][a.Epsilon] = oracle
-				}
-				reports = append(reports, remote.BatchReport{User: users[i][j], Ones: oracle.Perturb(rngs[i], idx)})
+			packed, sparse, err := devices[i].perturb(users[i], states[i], as)
+			if err != nil {
+				return err
 			}
-			if len(reports) == 0 {
+			if len(packed)+len(sparse) == 0 {
 				return nil
 			}
 			start = time.Now()
-			if ldp.PreferPacked(d, roundEps) {
-				packed, err := remote.PackReportBatch(reports, d)
-				if err != nil {
-					return err
-				}
+			if len(packed) > 0 {
 				err = gws[i].ReportPacked(t, d, packed)
-				if err != nil {
-					return err
-				}
-			} else if err := gws[i].ReportBatch(t, reports); err != nil {
+			} else {
+				err = gws[i].ReportBatch(t, sparse)
+			}
+			if err != nil {
 				return err
 			}
 			reportLat.Observe(time.Since(start))
-			sent[i] = int64(len(reports))
+			sent[i] = int64(len(packed) + len(sparse))
 			return nil
 		})
 		if err != nil {

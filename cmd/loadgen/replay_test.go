@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"retrasyn"
@@ -100,4 +101,56 @@ func TestReplayGatewaysShareHistograms(t *testing.T) {
 			t.Fatalf("ingest replay lost events or recorded nothing: %+v", report)
 		}
 	})
+}
+
+// TestDevicePoolPacksStraightOntoTheWire pins the dense round's shortcut —
+// PerturbPackedInto on the reused word buffer → Bits — to the route it
+// replaced: the same seed through Perturb → remote.PackReportBatch yields the
+// same bytes, report for report. A sparse round (ε=8) keeps index lists.
+func TestDevicePoolPacksStraightOntoTheWire(t *testing.T) {
+	g, err := retrasyn.NewGrid(6, retrasyn.Bounds{MaxX: 1, MaxY: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := transition.NewDomain(g)
+	d := dom.Size()
+	var users []int
+	var states []transition.State
+	var as []remote.Assignment
+	for u := 0; u < 3*d; u++ {
+		users = append(users, 1000+u)
+		states = append(states, dom.StateAt((u*37)%d))
+		as = append(as, remote.Assignment{Report: u%5 != 0, Epsilon: 1})
+	}
+
+	pool := newDevicePool(dom, ldp.NewSource(5, 6))
+	packed, sparse, err := pool.perturb(users, states, as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sparse) != 0 || len(packed) == 0 {
+		t.Fatalf("dense round produced %d packed, %d sparse reports", len(packed), len(sparse))
+	}
+	rng, oracle := ldp.NewSource(5, 6), ldp.MustOUE(d, 1)
+	var reports []remote.BatchReport
+	for j, a := range as {
+		if a.Report {
+			idx, _ := dom.Index(states[j])
+			reports = append(reports, remote.BatchReport{User: users[j], Ones: oracle.Perturb(rng, idx)})
+		}
+	}
+	want, err := remote.PackReportBatch(reports, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(packed, want) {
+		t.Fatal("straight-to-wire payloads differ from the ones→pack route")
+	}
+
+	for j := range as {
+		as[j].Epsilon = 8
+	}
+	if packed, sparse, err = pool.perturb(users, states, as); err != nil || len(packed) != 0 || len(sparse) != len(want) {
+		t.Fatalf("sparse round produced %d packed, %d sparse reports (err %v)", len(packed), len(sparse), err)
+	}
 }

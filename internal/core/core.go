@@ -289,7 +289,7 @@ func (o *Options) domainOver(sp spatial.Discretizer) *transition.Domain {
 }
 
 // newCollector picks the collection stage for the configured oracle.
-func newCollector(opts Options, dom *transition.Domain, rng pipeline.Rand) pipeline.Collector {
+func newCollector(opts Options, dom *transition.Domain, rng ldp.Rand) pipeline.Collector {
 	switch {
 	case opts.Oracle == OracleOLH:
 		return &pipeline.OLHCollector{Dom: dom, Rng: rng, Workers: opts.AggregationWorkers}

@@ -72,17 +72,17 @@ func goldenCases() []struct {
 			o.Strategy = allocation.NewAdaptive(allocation.Budget)
 			o.OracleMode = Aggregate
 		}, 0x5c40718e80d25377},
-		{"population-peruser", func(o *Options) { o.OracleMode = PerUser }, 0xa6b0bec1b7dd4d65},
+		{"population-peruser", func(o *Options) { o.OracleMode = PerUser }, 0xe3bb31981e50e88a},
 		{"budget-peruser", func(o *Options) {
 			o.Division = allocation.Budget
 			o.Strategy = allocation.NewAdaptive(allocation.Budget)
 			o.OracleMode = PerUser
-		}, 0x89b3ec625393cfa5},
-		{"allupdate", func(o *Options) { o.DisableDMU = true }, 0xe2cb3b933a199467},
+		}, 0x55ebee9bb11dbb57},
+		{"allupdate", func(o *Options) { o.DisableDMU = true }, 0x9245340888ee5aba},
 		{"noeq", func(o *Options) {
 			o.DisableEQ = true
 			o.Lambda = 0
-		}, 0xdbded9bd0f1eab8d},
+		}, 0x596050d5febcdc06},
 		{"olh", func(o *Options) {
 			o.OracleMode = PerUser
 			o.Oracle = OracleOLH

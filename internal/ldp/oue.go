@@ -17,6 +17,7 @@ type OUE struct {
 	domain int
 	eps    float64
 	q      float64 // probability a 0-bit reports 1
+	qfix   uint64  // q·2⁶⁴ rounded up: the flip probability bernoulliWord realises
 }
 
 // NewOUE constructs an OUE oracle for a domain of the given size and privacy
@@ -28,11 +29,11 @@ func NewOUE(domain int, eps float64) (*OUE, error) {
 	if !(eps > 0) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("ldp: OUE requires ε > 0, got %v", eps)
 	}
-	return &OUE{
-		domain: domain,
-		eps:    eps,
-		q:      1 / (math.Exp(eps) + 1),
-	}, nil
+	q := 1 / (math.Exp(eps) + 1)
+	// q < ½, so q·2⁶⁴ fits; it is an integer already for q ≥ 2⁻¹¹ (ε ≲ 7.6), and
+	// rounding up otherwise keeps the flip probability at or above q: a
+	// report never spends more than ε.
+	return &OUE{domain: domain, eps: eps, q: q, qfix: uint64(math.Ceil(math.Ldexp(q, 64)))}, nil
 }
 
 // MustOUE is NewOUE but panics on error.
@@ -69,30 +70,19 @@ func Variance(eps float64, n int) float64 {
 	return 4 * e / (float64(n) * (e - 1) * (e - 1))
 }
 
-// Perturb produces a faithful per-user report: the set of indices whose
+// Perturb produces a faithful per-user report: the ascending indices whose
 // perturbed bit is 1. trueIdx must be in [0, d). Expected output size is
 // 1/2 + (d−1)·q, so reports are returned sparsely rather than as a d-bit
-// vector. Expected cost is O(d·q) via geometric skips rather than O(d).
+// vector. It is PerturbPackedInto unpacked, so the sparse and the packed form
+// of a report consume the random stream identically.
 func (o *OUE) Perturb(rng Rand, trueIdx int) []int {
-	ones := make([]int, 0, 1+int(float64(o.domain)*o.q))
-	o.perturb(rng, trueIdx, func(i int) { ones = append(ones, i) })
-	return ones
-}
-
-// perturb is the shared randomization core of Perturb and PerturbPackedInto:
-// both consume the random stream identically (true-bit coin, then geometric
-// skips below and above the true index), so a round perturbed packed is
-// bit-identical to the same round perturbed sparsely.
-func (o *OUE) perturb(rng Rand, trueIdx int, emit func(int)) {
-	if trueIdx < 0 || trueIdx >= o.domain {
-		panic(fmt.Sprintf("ldp: OUE.Perturb index %d out of domain %d", trueIdx, o.domain))
+	w := PackedWords(o.domain)
+	p := make(PackedReport, 16) // on the stack: domains up to 1024 states need no heap buffer
+	if w > len(p) {
+		p = make(PackedReport, w)
 	}
-	if Bernoulli(rng, 0.5) {
-		emit(trueIdx)
-	}
-	// Flip 0-bits to 1 with probability q, skipping the true index.
-	visitGeometricOnes(rng, 0, trueIdx, o.q, emit)
-	visitGeometricOnes(rng, trueIdx+1, o.domain, o.q, emit)
+	o.PerturbPackedInto(rng, trueIdx, p[:w])
+	return p[:w].Ones()
 }
 
 // PerturbBits is Perturb materialized as a dense bit vector; it exists for
@@ -106,32 +96,22 @@ func (o *OUE) PerturbBits(rng Rand, trueIdx int) []bool {
 	return bits
 }
 
-// visitGeometricOnes emits indices in [lo,hi) selected independently with
-// probability p, using geometric skips (expected cost proportional to the
-// number selected).
-func visitGeometricOnes(rng Rand, lo, hi int, p float64, emit func(int)) {
-	if p <= 0 || lo >= hi {
-		return
+// bernoulliWord returns 64 independent Bernoulli(qfix/2⁶⁴) bits. Lane j is 1
+// iff a uniform 64-bit string u_j is below qfix; the 64 comparisons run
+// bit-sliced, most significant bit first, one draw per level. A lane is
+// decided at the first level where its bit differs from qfix's, so half the
+// undecided lanes drop out per level and a word costs about 7 draws; lanes
+// still tied when qfix runs out of 1-bits cannot fall below it and are 0.
+func bernoulliWord(rng Rand, qfix uint64) uint64 {
+	var res uint64
+	und := ^uint64(0) // lanes equal to qfix on every level so far
+	for q := qfix; und != 0 && q != 0; q <<= 1 {
+		r := rng.Uint64()
+		m := uint64(int64(q) >> 63) // all-ones iff qfix's bit at this level is 1
+		res |= und &^ r & m
+		und &^= r ^ m
 	}
-	if p >= 1 {
-		for i := lo; i < hi; i++ {
-			emit(i)
-		}
-		return
-	}
-	logq := math.Log1p(-p)
-	i := lo - 1
-	for {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		i += 1 + int(math.Floor(math.Log(u)/logq))
-		if i >= hi {
-			return
-		}
-		emit(i)
-	}
+	return res
 }
 
 // Aggregator accumulates OUE reports and produces unbiased frequency

@@ -43,12 +43,13 @@ func (p PackedReport) OnesCount() int {
 // Ones unpacks the report into the ascending indices of its set bits — the
 // sparse representation Aggregator.Add consumes.
 func (p PackedReport) Ones() []int {
-	ones := make([]int, 0, p.OnesCount())
+	ones := make([]int, p.OnesCount())
+	k := 0
 	for g, w := range p {
 		base := g << 6
-		for w != 0 {
-			ones = append(ones, base+bits.TrailingZeros64(w))
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			ones[k] = base + bits.TrailingZeros64(w)
+			k++
 		}
 	}
 	return ones
@@ -133,13 +134,25 @@ func (o *OUE) PerturbPacked(rng Rand, trueIdx int) PackedReport {
 }
 
 // PerturbPackedInto perturbs into a caller-owned report (e.g. a
-// PackedBatch.Grow row), avoiding the per-report allocation. dst must be
-// all-zero with PackedWords(domain) words.
+// PackedBatch.Grow row), avoiding the per-report allocation; dst must have
+// PackedWords(domain) words and is overwritten. Every word is 64 q-coins
+// drawn at once (bernoulliWord), the tail beyond the domain is masked off and
+// the true bit replaced by a fair coin: ~7·⌈d/64⌉+1 draws whatever ε.
 func (o *OUE) PerturbPackedInto(rng Rand, trueIdx int, dst PackedReport) {
 	if len(dst) != PackedWords(o.domain) {
 		panic(fmt.Sprintf("ldp: PerturbPackedInto dst has %d words, want %d", len(dst), PackedWords(o.domain)))
 	}
-	o.perturb(rng, trueIdx, func(i int) { dst[i>>6] |= 1 << uint(i&63) })
+	if trueIdx < 0 || trueIdx >= o.domain {
+		panic(fmt.Sprintf("ldp: OUE.Perturb index %d out of domain %d", trueIdx, o.domain))
+	}
+	for g := range dst {
+		dst[g] = bernoulliWord(rng, o.qfix)
+	}
+	if tail := o.domain & 63; tail != 0 {
+		dst[len(dst)-1] &= 1<<uint(tail) - 1
+	}
+	g, b := trueIdx>>6, uint(trueIdx&63)
+	dst[g] = dst[g]&^(1<<b) | rng.Uint64()>>63<<b
 }
 
 // ExpectedOnes returns the expected number of 1-bits in one OUE report:
@@ -155,6 +168,8 @@ func ExpectedOnes(domain int, eps float64) float64 {
 // them); the packed report always holds ⌈d/64⌉ words, so packed wins when
 // the expected ones-rate exceeds one per 64 indices — for OUE that is
 // q ≥ ~1/64, i.e. ε ≲ ln 63 ≈ 4.1, essentially every realistic budget.
+// Perturbation costs the same either way (Perturb is PerturbPackedInto
+// unpacked); the choice is what the fold and the wire then handle.
 func PreferPacked(domain int, eps float64) bool {
 	return float64(PackedWords(domain)) <= ExpectedOnes(domain, eps)
 }

@@ -1,8 +1,9 @@
 package metrics
 
 import (
+	"cmp"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"retrasyn/internal/trajectory"
 )
@@ -88,11 +89,11 @@ func topPatterns(d *trajectory.Dataset, t0, phi, minL, maxL, n int) map[uint64]b
 	for k, c := range counts {
 		all = append(all, kc{k, c})
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].c != all[b].c {
-			return all[a].c > all[b].c
+	slices.SortFunc(all, func(a, b kc) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
 		}
-		return all[a].key < all[b].key // deterministic tie-break
+		return cmp.Compare(a.key, b.key) // deterministic tie-break
 	})
 	if len(all) > n {
 		all = all[:n]

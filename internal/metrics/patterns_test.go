@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 
 	"retrasyn/internal/grid"
@@ -66,6 +69,48 @@ func TestTopPatternsDeterministicTieBreak(t *testing.T) {
 	for k := range a {
 		if !b[k] {
 			t.Fatal("tie-break not deterministic")
+		}
+	}
+}
+
+// TestTopPatternsMatchesReflectionSort pins the slices.SortFunc order to the
+// sort.Slice comparator it replaced — count descending, key ascending — on a
+// mined fixture dense with count ties: the same top-n set for every n.
+func TestTopPatternsMatchesReflectionSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	d := &trajectory.Dataset{T: 40}
+	for i := 0; i < 400; i++ {
+		cells := make([]grid.Cell, 2+rng.IntN(12))
+		for j := range cells {
+			cells[j] = grid.Cell(rng.IntN(9))
+		}
+		d.Trajs = append(d.Trajs, trajectory.CellTrajectory{Start: rng.IntN(28), Cells: cells})
+	}
+	counts := minePatterns(d, 5, 30, 2, 4)
+	type kc struct {
+		key uint64
+		c   int
+	}
+	all := make([]kc, 0, len(counts))
+	for k, c := range counts {
+		all = append(all, kc{k, c})
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].c != all[b].c {
+			return all[a].c > all[b].c
+		}
+		return all[a].key < all[b].key
+	})
+	if len(all) < 500 {
+		t.Fatalf("fixture mined only %d patterns", len(all))
+	}
+	for _, n := range []int{1, 2, 10, 100, 333, len(all) - 1, len(all), len(all) + 5} {
+		want := map[uint64]bool{}
+		for _, e := range all[:min(n, len(all))] {
+			want[e.key] = true
+		}
+		if got := topPatterns(d, 5, 30, 2, 4, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("top-%d set differs from the sort.Slice order", n)
 		}
 	}
 }

@@ -21,17 +21,8 @@ package pipeline
 import (
 	"time"
 
-	"retrasyn/internal/ldp"
 	"retrasyn/internal/trajectory"
 )
-
-// Rand is the random source the stages draw from: the ldp primitives'
-// interface plus the raw 64-bit stream OLH hash seeds need. *rand.Rand
-// (math/rand/v2) satisfies it.
-type Rand interface {
-	ldp.Rand
-	Uint64() uint64
-}
 
 // StepResult reports what one processed timestamp did.
 type StepResult struct {

@@ -15,16 +15,18 @@ import (
 // runs stay bit-identical to the seed engine.
 
 // OUEPerUserCollector is the faithful per-user OUE path: every sampled
-// user's report is individually randomized, then the curator folds the
-// round. Per round it picks the report representation by domain size and ε
-// (ldp.PreferPacked): dense rounds perturb straight into a bit-packed batch
-// and fold with the word-parallel popcount network; sparse rounds keep the
+// user's report is individually randomized — by the word-parallel sampler
+// (ldp.OUE.PerturbPackedInto), the same one at every ε — then the curator
+// folds the round. Per round it picks the report representation
+// by domain size and ε (ldp.PreferPacked): dense rounds perturb straight
+// into a bit-packed batch and fold with the word-parallel popcount network;
+// sparse rounds unpack each report into an index list and keep the
 // index-list fold, sharded across Workers goroutines when large. Both paths
 // consume the random stream identically and integer addition commutes, so
 // the estimates are bit-identical whichever representation a round takes.
 type OUEPerUserCollector struct {
 	Dom *transition.Domain
-	Rng Rand
+	Rng ldp.Rand
 	// Workers shards the curator-side aggregation fold; ≤ 1 keeps the fold
 	// sequential.
 	Workers int
@@ -81,7 +83,7 @@ func (c *OUEPerUserCollector) collectPacked(ctx *StepContext, oracle *ldp.OUE) {
 // making paper-scale populations tractable.
 type OUEAggregateCollector struct {
 	Dom *transition.Domain
-	Rng Rand
+	Rng ldp.Rand
 
 	trueCounts []int // scratch reused across rounds
 }
@@ -110,7 +112,7 @@ func (c *OUEAggregateCollector) Collect(ctx *StepContext) {
 // Workers goroutines.
 type OLHCollector struct {
 	Dom     *transition.Domain
-	Rng     Rand
+	Rng     ldp.Rand
 	Workers int
 }
 
@@ -136,7 +138,7 @@ func (c *OLHCollector) Collect(ctx *StepContext) {
 // GRRCollector runs the Generalized Randomized Response ablation.
 type GRRCollector struct {
 	Dom *transition.Domain
-	Rng Rand
+	Rng ldp.Rand
 }
 
 // Collect implements Collector.

@@ -18,7 +18,7 @@ import (
 // hash was recorded on the commit before the release sketch became an
 // incremental fold (see TestFrameworkMonitorGolden at the module root).
 func TestCuratorMonitorGolden(t *testing.T) {
-	const want uint64 = 0x7f0e73e428ea82f9
+	const want uint64 = 0x14d298487fd28460
 	cfg := goldenConfig(allocation.Population)
 	cfg.Strategy = &allocation.Uniform{Division: allocation.Population}
 	cfg.MonitorWindow = 4

@@ -128,8 +128,8 @@ var curatorGoldens = []struct {
 	div  allocation.Division
 	want uint64
 }{
-	{"population-adaptive", allocation.Population, 0x13c3cacf718b7bbf},
-	{"budget-sample", allocation.Budget, 0xc49bee4e9d6eb882},
+	{"population-adaptive", allocation.Population, 0x7f19818c2dc46a29},
+	{"budget-sample", allocation.Budget, 0x1d8abc07b62f744e},
 }
 
 // TestCuratorGolden pins the direct-drive curator's release bit for bit. The
