@@ -3,6 +3,7 @@ package retrasyn
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -13,9 +14,17 @@ import (
 // code under test — only do that to deliberately re-baseline the format.
 const fixturePath = "testdata/facade_checkpoint_parent.json"
 
+// fixtureContinuedRelease pins the release continued from the fixture. The
+// fixture holds the first half's draws as its writing commit made them, so
+// the continuation cannot equal an uninterrupted run of code whose draws
+// have changed since; it is pinned instead.
+const fixtureContinuedRelease uint64 = 0x8ef078c6ee736911
+
 // TestRestoreParentCheckpointFixture restores the committed checkpoint (two
-// shards, population division, taken at T/2) and requires the continued
-// release to be bit-identical to an uninterrupted run of today's code.
+// shards, population division, taken at T/2) and requires that the restored
+// framework snapshots back to exactly the decoded fixture, that continuing
+// from the fixture equals continuing from an encode → decode → restore of that
+// snapshot, and that the continued release hashes to a pinned constant.
 func TestRestoreParentCheckpointFixture(t *testing.T) {
 	orig, g := smallDataset(t)
 	events, active := NewStreamEvents(orig)
@@ -37,13 +46,13 @@ func TestRestoreParentCheckpointFixture(t *testing.T) {
 			}
 		}
 	}
-	uninterrupted, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(uninterrupted, 0, half)
 	if os.Getenv("RETRASYN_WRITE_FIXTURE") != "" {
-		cp, err := uninterrupted.Snapshot()
+		fw, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(fw, 0, half)
+		cp, err := fw.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +64,6 @@ func TestRestoreParentCheckpointFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feed(uninterrupted, half, orig.T)
 
 	blob, err := os.ReadFile(fixturePath)
 	if err != nil {
@@ -72,8 +80,32 @@ func TestRestoreParentCheckpointFixture(t *testing.T) {
 	if resumed.Timestamp() != half {
 		t.Fatalf("restored at t=%d, want %d", resumed.Timestamp(), half)
 	}
+	snap, err := resumed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, cp) {
+		t.Fatal("restored framework does not snapshot back to the fixture")
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Restore(opts, decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	feed(resumed, half, orig.T)
-	if !equalDatasets(resumed.Synthetic("syn"), uninterrupted.Synthetic("syn")) {
-		t.Fatal("release resumed from the parent-written checkpoint differs from the uninterrupted run")
+	feed(again, half, orig.T)
+	if !equalDatasets(resumed.Synthetic("syn"), again.Synthetic("syn")) {
+		t.Fatal("continuing from the fixture differs from continuing from its re-encoded snapshot")
+	}
+	if got := datasetFingerprint(resumed.Synthetic("syn")); got != fixtureContinuedRelease {
+		t.Fatalf("release continued from the fixture drifted: got %#x, want %#x", got, fixtureContinuedRelease)
 	}
 }

@@ -39,9 +39,11 @@ const (
 	// user's report is individually randomized and aggregated. Use for
 	// fidelity measurements (Table V user-side timing) and moderate scales.
 	PerUser OracleMode = iota
-	// Aggregate samples the aggregate count vector directly (statistically
-	// identical to PerUser; see ldp.AggregateOracle). Use for paper-scale
-	// populations. Only available for the OUE oracle.
+	// Aggregate samples the aggregate count vector directly, in O(d) exact
+	// binomial draws per round: statistically identical to PerUser (pinned
+	// by ldp's TestBinomialChiSquare; see ldp.AggregateOracle), though not
+	// the same stream. Use for paper-scale populations. Only available for
+	// the OUE oracle.
 	Aggregate
 )
 

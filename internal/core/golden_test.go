@@ -66,12 +66,12 @@ func goldenCases() []struct {
 		mutate func(*Options)
 		want   uint64
 	}{
-		{"population-aggregate", func(o *Options) { o.OracleMode = Aggregate }, 0xcf9fef2bea6a477f},
+		{"population-aggregate", func(o *Options) { o.OracleMode = Aggregate }, 0xd8543d7967b76224},
 		{"budget-aggregate", func(o *Options) {
 			o.Division = allocation.Budget
 			o.Strategy = allocation.NewAdaptive(allocation.Budget)
 			o.OracleMode = Aggregate
-		}, 0x5c40718e80d25377},
+		}, 0xd9685253a3f68673},
 		{"population-peruser", func(o *Options) { o.OracleMode = PerUser }, 0xe3bb31981e50e88a},
 		{"budget-peruser", func(o *Options) {
 			o.Division = allocation.Budget

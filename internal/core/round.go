@@ -49,12 +49,12 @@ type Collected struct {
 //
 // present holds one item per present user, whatever the driver samples over:
 // the user's event in-process, the user's id on the wire. user extracts the
-// id; keep (nil keeps all) drops items that cannot report. The order of
-// present is the order the sampler sees, so it must be deterministic for
-// reproducible runs. pool is caller-owned scratch: Plan overwrites it and
-// returns the sample as a prefix of it; it may be present itself (the pool is
-// filtered in order, so the writes trail the reads), which then ends up
-// permuted.
+// id; keep (nil keeps all) drops items that cannot report, after their users
+// are registered. The order of present is the order the sampler sees, so it
+// must be deterministic for reproducible runs. pool is caller-owned scratch:
+// Plan overwrites it and returns the sample as a prefix of it; it may be
+// present itself (the pool is filtered in order, so the writes trail the
+// reads), which then ends up permuted.
 //
 // On error nothing has changed. On success the round is open until Close.
 func Plan[T any](e *Engine, t int, present []T, user func(T) int, keep func(T) bool, pool []T) ([]T, OpenRound, error) {
@@ -67,19 +67,17 @@ func Plan[T any](e *Engine, t int, present []T, user func(T) int, keep func(T) b
 	e.lastT = t
 	e.stats.Timestamps++
 
-	// Alg. 1 lines 7–9: recycle the t−w reporters, register arrivals.
+	// Alg. 1 lines 7–9: recycle the t−w reporters, register arrivals — all
+	// of them, before keep drops any — and pool the active ones.
 	if e.users != nil {
 		e.users.BeginTimestamp(t)
-		for _, p := range present {
-			e.users.Register(user(p))
-		}
 	}
 	pool = pool[:0]
 	for _, p := range present {
-		if keep != nil && !keep(p) {
+		if e.users != nil && !e.users.Admit(user(p)) {
 			continue
 		}
-		if e.users != nil && !e.users.IsActive(user(p)) {
+		if keep != nil && !keep(p) {
 			continue
 		}
 		pool = append(pool, p)

@@ -51,18 +51,17 @@ func (u *UserTracker) BeginTimestamp(t int) {
 	u.reported[slot] = u.reported[slot][:0]
 }
 
-// Register ensures a user is known; unknown users arrive active
-// (Alg. 1 line 7). Registering an existing user is a no-op.
-func (u *UserTracker) Register(id int) {
-	if _, ok := u.status[id]; !ok {
-		u.status[id] = statusActive
+// Admit registers a user on first sight — unknown users arrive active
+// (Alg. 1 line 7) — and reports whether the user is eligible for sampling:
+// one roster lookup per present user per round.
+func (u *UserTracker) Admit(id int) bool {
+	s, ok := u.status[id]
+	if !ok {
+		s = statusActive
+		u.status[id] = s
 		u.active++
 	}
-}
-
-// IsActive reports whether the user is currently eligible for sampling.
-func (u *UserTracker) IsActive(id int) bool {
-	return u.status[id] == statusActive
+	return s == statusActive
 }
 
 // NumActive returns |U_A|.

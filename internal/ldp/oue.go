@@ -198,9 +198,11 @@ func (a *Aggregator) Reset() {
 // without materializing per-user reports: for index i with n_i true holders
 // among n users, the observed count is Binomial(n_i, 1/2) + Binomial(n−n_i,
 // q) — exactly the distribution of the sum of n faithful per-user reports.
-// This makes paper-scale simulations (10⁵–10⁶ users) tractable while
-// remaining statistically indistinguishable from the per-user path (verified
-// in tests).
+// Binomial samples both terms exactly in O(1), so a round costs O(d) draws
+// whatever n, and the counts are statistically identical to the per-user
+// path, not an approximation of it: TestBinomialChiSquare pins the sampler
+// to the exact pmf and TestAggregateOracleMatchesPerUser the estimates to
+// the per-user ones.
 type AggregateOracle struct {
 	oracle *OUE
 }

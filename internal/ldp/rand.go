@@ -71,11 +71,13 @@ func (s *Source) SetState(b []byte) error {
 	return s.pcg.UnmarshalBinary(b)
 }
 
-// Binomial draws an exact sample from Binomial(n, p) when n·min(p,1−p) is
-// small, and a clamped Gaussian approximation otherwise. The switch point is
-// chosen so the approximation error is far below the sampling noise of any
-// aggregate the library computes; the exact path uses geometric skips, which
-// cost O(np) expected time.
+// Binomial draws an exact sample from Binomial(n, p) in O(1) expected time
+// whatever n and p. It works with the smaller tail p' = min(p, 1−p) and
+// inverts at the end; the method depends only on (n, p'): inversion when
+// n·p' < binomialInversionMean, BTRS otherwise. Both are exact at every n —
+// TestBinomialChiSquare pins the sampled frequencies to the exact pmf — and
+// both draw only rng.Float64, so the generator's position stays the whole
+// randomness state.
 func Binomial(rng Rand, n int, p float64) int {
 	switch {
 	case n <= 0 || p <= 0:
@@ -83,17 +85,15 @@ func Binomial(rng Rand, n int, p float64) int {
 	case p >= 1:
 		return n
 	}
-	// Work with the smaller tail for efficiency; invert at the end.
-	inverted := false
-	if p > 0.5 {
+	inverted := p > 0.5
+	if inverted {
 		p = 1 - p
-		inverted = true
 	}
 	var k int
-	if float64(n)*p <= binomialExactThreshold {
-		k = binomialGeometric(rng, n, p)
+	if float64(n)*p < binomialInversionMean {
+		k = binomialInversion(rng, n, p)
 	} else {
-		k = binomialNormal(rng, n, p)
+		k = binomialBTRS(rng, n, p)
 	}
 	if inverted {
 		k = n - k
@@ -101,47 +101,77 @@ func Binomial(rng Rand, n int, p float64) int {
 	return k
 }
 
-// binomialExactThreshold bounds the expected work of the exact sampler.
-// Below it we sample exactly; above it the normal approximation to
-// Binomial(n,p) is accurate to well under one part in 10⁴ of the standard
-// deviation.
-const binomialExactThreshold = 1024
+// binomialInversionMean is the mean n·p below which inversion, whose walk
+// is O(n·p) multiplies but one uniform per sample, beats BTRS's ≈ 2.3
+// uniforms and occasional Lgamma calls.
+const binomialInversionMean = 10
 
-// binomialGeometric counts successes via geometric inter-arrival skips:
-// the index of the next success after position i is i + Geom(p). Expected
-// cost O(np).
-func binomialGeometric(rng Rand, n int, p float64) int {
-	// log(1-p) is stable here because p ≤ 0.5.
-	logq := math.Log1p(-p)
-	k := 0
-	i := 0
+// binomialInversion is BINV (Kachitvichyanukul & Schmeiser 1988): walk the
+// pmf from k = 0 with f(k) = f(k−1)·((n+1)·s/k − s), s = p/(1−p), until one
+// uniform is used up. If rounding leaves the summed pmf short of the uniform
+// past k = n, or once f underflows to 0 (the walk can no longer return, and
+// for n = 10⁹ that comes long before k = n), the draw restarts. Requires
+// p ≤ ½ and n·p < 10, so f(0) = (1−p)ⁿ ≥ e^−14 never underflows.
+func binomialInversion(rng Rand, n int, p float64) int {
+	s := p / (1 - p)
+	a := float64(n+1) * s
+	f0 := math.Exp(float64(n) * math.Log1p(-p))
 	for {
 		u := rng.Float64()
-		for u == 0 { // Float64 can return 0; log(0) would overflow
-			u = rng.Float64()
+		f := f0
+		for k := 0; k <= n && f > 0; {
+			if u < f {
+				return k
+			}
+			u -= f
+			k++
+			f *= a/float64(k) - s
 		}
-		skip := int(math.Floor(math.Log(u) / logq))
-		i += skip + 1
-		if i > n {
-			return k
-		}
-		k++
 	}
 }
 
-// binomialNormal samples from the Gaussian approximation with continuity
-// correction, clamped to [0, n].
-func binomialNormal(rng Rand, n int, p float64) int {
-	mean := float64(n) * p
-	sd := math.Sqrt(float64(n) * p * (1 - p))
-	k := int(math.Round(mean + rng.NormFloat64()*sd))
-	if k < 0 {
-		return 0
+// binomialBTRS is Hörmann's transformed rejection with squeeze ("The
+// generation of binomial random variates", J. Statist. Comput. Simul. 46,
+// 1993), valid for p ≤ ½ and n·p ≥ 10. Each try takes two uniforms; ≈ 1.15
+// tries make a sample, and most accept in the squeeze without Lgamma.
+func binomialBTRS(rng Rand, n int, p float64) int {
+	nf := float64(n)
+	spq := math.Sqrt(nf * p * (1 - p))
+	b := 1.15 + 2.53*spq
+	a := -0.0873 + 0.0248*b + 0.01*p
+	c := nf*p + 0.5
+	vr := 0.92 - 4.2/b
+	alpha := (2.83 + 5.1/b) * spq
+	m := math.Floor((nf + 1) * p)
+	// h and lpq bound the log-pmf ratio to the mode; only draws outside
+	// the squeeze need them.
+	var h, lpq float64
+	for {
+		u := rng.Float64() - 0.5
+		v := rng.Float64()
+		us := 0.5 - math.Abs(u)
+		kf := math.Floor((2*a/us+b)*u + c)
+		if kf < 0 || kf > nf { // us = 0 gives −Inf, rejected here
+			continue
+		}
+		if us >= 0.07 && v <= vr {
+			return int(kf)
+		}
+		if h == 0 {
+			h = lgamma(m+1) + lgamma(nf-m+1)
+			lpq = math.Log(p / (1 - p))
+		}
+		v = math.Log(v * alpha / (a/(us*us) + b))
+		if v <= h-lgamma(kf+1)-lgamma(nf-kf+1)+(kf-m)*lpq {
+			return int(kf)
+		}
 	}
-	if k > n {
-		return n
-	}
-	return k
+}
+
+// lgamma is log Γ(x) for x ≥ 1, where Γ is positive.
+func lgamma(x float64) float64 {
+	lg, _ := math.Lgamma(x)
+	return lg
 }
 
 // Bernoulli returns true with probability p.

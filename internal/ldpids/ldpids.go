@@ -183,9 +183,6 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 	e.stats.Timestamps++
 	if e.users != nil {
 		e.users.BeginTimestamp(t)
-		for _, ev := range events {
-			e.users.Register(ev.User)
-		}
 	}
 	pool := e.eligible(events)
 	if len(pool) > 0 {
@@ -219,14 +216,14 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 
 // eligible filters events to movement states (and active users for
 // population methods). Enter/quit events carry no movement information for
-// the baselines.
+// the baselines, but their users are admitted to the roster all the same.
 func (e *Engine) eligible(events []trajectory.Event) []trajectory.Event {
 	e.eligBuf = e.eligBuf[:0]
 	for _, ev := range events {
-		if _, ok := e.dom.Index(ev.State); !ok {
+		if e.users != nil && !e.users.Admit(ev.User) {
 			continue
 		}
-		if e.users != nil && !e.users.IsActive(ev.User) {
+		if _, ok := e.dom.Index(ev.State); !ok {
 			continue
 		}
 		e.eligBuf = append(e.eligBuf, ev)

@@ -6,6 +6,7 @@ import (
 	"retrasyn/internal/grid"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/trajectory"
+	"retrasyn/internal/transition"
 )
 
 func testGrid() *grid.System {
@@ -146,6 +147,32 @@ func TestPopulationMethodsUserInvariant(t *testing.T) {
 				t.Fatalf("per-user window budget %v exceeds ε=%v", got, o.Epsilon)
 			}
 		})
+	}
+}
+
+// TestPopulationRosterAdmitsEnterAndQuit: users whose only event is an
+// enter or a quit — no movement state, so never eligible — are still
+// registered on the roster, ahead of the domain filter.
+func TestPopulationRosterAdmitsEnterAndQuit(t *testing.T) {
+	e, err := New(opts(LPD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := []trajectory.Event{
+		{User: 1, State: transition.EnterState(0)},
+		{User: 2, State: transition.MoveState(0, 1)},
+		{User: 3, State: transition.QuitState(5)},
+	}
+	e.EnableLedger(1)
+	e.ProcessTimestamp(0, events, 2)
+	st := e.users.State()
+	for _, id := range []int{1, 2, 3} {
+		if _, ok := st.Status[id]; !ok {
+			t.Fatalf("user %d not registered", id)
+		}
+	}
+	if e.users.NumActive() != 1 { // 2 reported, 3 quitted
+		t.Fatalf("NumActive = %d, want 1", e.users.NumActive())
 	}
 }
 

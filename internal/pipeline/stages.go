@@ -78,9 +78,10 @@ func (c *OUEPerUserCollector) collectPacked(ctx *StepContext, oracle *ldp.OUE) {
 	ctx.Timings.ModelConstruction += time.Since(start)
 }
 
-// OUEAggregateCollector samples the aggregate count vector directly
-// (statistically identical to the per-user path; see ldp.AggregateOracle),
-// making paper-scale populations tractable.
+// OUEAggregateCollector samples the aggregate count vector directly in O(d)
+// exact binomial draws — statistically identical to the per-user path, as
+// ldp's TestBinomialChiSquare pins; see ldp.AggregateOracle — making
+// paper-scale populations tractable.
 type OUEAggregateCollector struct {
 	Dom *transition.Domain
 	Rng ldp.Rand

@@ -18,7 +18,7 @@ import (
 // fold, so the folded view, the spread sequence and the reused observation
 // buffers must all reproduce the window-rescan numbers bit for bit.
 func TestFrameworkMonitorGolden(t *testing.T) {
-	const want uint64 = 0xa7fe24fba738d518
+	const want uint64 = 0x01aac36187ccde71
 	raw := driftingRaw(t, 40, 11)
 	o := adaptiveOptions(bootQuadtree(t, raw, 8), 2)
 	o.Strategy = StrategyUniform // a divergence sample every timestamp

@@ -193,10 +193,16 @@ func TestFrameworkAdaptiveCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := stream(full)
-		half := 32 // past several rebuild boundaries (Every×W = 10)
+		// Checkpoint at the first t ≥ 32 (past several rebuild boundaries,
+		// Every×W = 10) that follows a migration.
+		half := 32
 		s = feed(full, s, 0, half)
-		if full.LayoutGeneration() < 1 {
-			t.Fatalf("shards=%d: no migration before the checkpoint", shards)
+		for full.LayoutGeneration() < 1 {
+			if half >= 40 {
+				t.Fatalf("shards=%d: no migration by t=40", shards)
+			}
+			s = feed(full, s, half, half+1)
+			half++
 		}
 		cp, err := full.Snapshot()
 		if err != nil {
