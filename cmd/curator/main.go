@@ -11,14 +11,15 @@
 // uninterrupted run. The same state is served live on /v1/snapshot and
 // accepted on /v1/restore for migration without a restart.
 //
-// Endpoints (see internal/remote):
+// Endpoints (see internal/remote). Presence, assignments and report bodies
+// are binary frames (Content-Type application/x-retrasyn); any other type
+// gets 415. The control plane speaks JSON.
 //
-//	POST /v1/presence   {user, t} or {t, users: [...]} (gateway batch)
-//	POST /v1/plan       {t}
-//	GET  /v1/assignment ?user=&t=
-//	POST /v1/assignments {t, users: [...]} — batched assignment poll
-//	POST /v1/report     {user, t, ones} or {t, reports: [{user, ones}...]}
-//	POST /v1/finalize   {t, active}
+//	POST /v1/presence    presence frame: t + users
+//	POST /v1/plan        {t}
+//	POST /v1/assignments assignments frame: t + users — the assignment poll
+//	POST /v1/report      report frame: a sparse or bit-packed batch
+//	POST /v1/finalize    {t, active}
 //	GET  /v1/synthetic
 //	GET  /v1/stats      — rounds, reports, stage wall time, layout status
 //	GET  /v1/snapshot   — full curator state (checkpoint)
@@ -53,6 +54,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -297,9 +299,11 @@ func loadCheckpoint(cur *remote.Curator, path string) error {
 	return nil
 }
 
-// writeCheckpoint snapshots the curator into the state file atomically
-// (write-then-rename), so a crash mid-write never corrupts the previous
-// checkpoint.
+// writeCheckpoint snapshots the curator into the state file atomically and
+// durably: the snapshot is written to a temporary file, synced, closed and
+// renamed over the old file, and the parent directory is synced so the
+// rename itself survives a power loss. A crash mid-write never corrupts the
+// previous checkpoint.
 func writeCheckpoint(cur *remote.Curator, path string) error {
 	st, err := cur.Snapshot()
 	if err != nil {
@@ -310,11 +314,34 @@ func writeCheckpoint(cur *remote.Curator, path string) error {
 		return fmt.Errorf("curator: encode checkpoint: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o600); err != nil {
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o600)
+	if err != nil {
 		return fmt.Errorf("curator: write checkpoint: %w", err)
+	}
+	if _, err := f.Write(blob); err != nil {
+		f.Close()
+		return fmt.Errorf("curator: write checkpoint: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("curator: sync checkpoint: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("curator: close checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("curator: commit checkpoint: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("curator: open checkpoint directory: %w", err)
+	}
+	if err := dir.Sync(); err != nil {
+		dir.Close()
+		return fmt.Errorf("curator: sync checkpoint directory: %w", err)
+	}
+	if err := dir.Close(); err != nil {
+		return fmt.Errorf("curator: close checkpoint directory: %w", err)
 	}
 	return nil
 }

@@ -53,7 +53,6 @@ func main() {
 		w        = flag.Int("w", 20, "window size w (ingest mode)")
 		lambda   = flag.Float64("lambda", 13.6, "synthesis termination factor λ (ingest mode)")
 		shards   = flag.Int("shards", 1, "engine shards (ingest mode)")
-		wire     = flag.String("wire", "binary", `report wire encoding in http mode: "binary" (framed application/x-retrasyn) or "json"`)
 		scrape   = flag.Bool("scrape", false, "poll the curator's /metrics before and after the replay (http mode) and embed the series deltas in the report")
 		out      = flag.String("out", "BENCH_replay.json", "benchmark report path")
 		maxBuf   = flag.Int("max-pending", 0, "ingest buffer bound in events (ingest mode; 0 = service default)")
@@ -102,21 +101,10 @@ func main() {
 		Gateways: *gateways, Speed: *speed, TickMS: float64(*tick) / float64(time.Millisecond),
 	}
 
-	var wireMode remote.WireMode
-	switch *wire {
-	case "binary":
-		wireMode = remote.WireBinary
-	case "json":
-		wireMode = remote.WireJSON
-	default:
-		fatal(fmt.Errorf("unknown -wire %q (want \"binary\" or \"json\")", *wire))
-	}
-
 	switch *mode {
 	case "http":
-		report.Wire = *wire
 		r.scrape = *scrape
-		err = r.replayHTTP(*curator, wireMode, &report)
+		err = r.replayHTTP(*curator, &report)
 	case "ingest":
 		err = r.replayIngest(retrasyn.Options{
 			Grid: g, Epsilon: *eps, Window: *w, Lambda: *lambda, Shards: *shards, Seed: *seed,
@@ -147,8 +135,8 @@ func main() {
 			us(rl.P50US), us(rl.P99US), us(rl.MaxUS), report.RoundsBehind, report.Timestamps)
 	}
 	if report.BytesPerReport > 0 {
-		fmt.Printf("loadgen: wire %s, %d report bytes in (%.1f bytes/report)\n",
-			report.Wire, report.ReportBytesIn, report.BytesPerReport)
+		fmt.Printf("loadgen: %d report bytes in (%.1f bytes/report)\n",
+			report.ReportBytesIn, report.BytesPerReport)
 	}
 	if len(report.ReleaseDivergence) > 0 {
 		fmt.Printf("loadgen: release divergence js=%.4f l1=%.4f at end of run\n",
@@ -179,10 +167,9 @@ type benchReport struct {
 	Gateways   int     `json:"gateways"`
 	Speed      float64 `json:"speed"`
 	TickMS     float64 `json:"tick_ms"`
-	// Wire is the report encoding used in http mode ("binary" or "json"),
-	// with the curator-measured request bytes the /v1/report endpoint
-	// ingested — the ledger that makes wire regressions visible per run.
-	Wire           string  `json:"wire,omitempty"`
+	// ReportBytesIn is the curator-measured request bytes the /v1/report
+	// endpoint ingested in http mode — the ledger that makes wire
+	// regressions visible per run.
 	ReportBytesIn  int64   `json:"report_bytes_in,omitempty"`
 	BytesPerReport float64 `json:"bytes_per_report,omitempty"`
 
@@ -383,12 +370,11 @@ func (p *devicePool) perturb(users []int, states []transition.State, as []remote
 }
 
 // replayHTTP drives the full wire protocol against a live curator.
-func (r *run) replayHTTP(baseURL string, wire remote.WireMode, report *benchReport) error {
+func (r *run) replayHTTP(baseURL string, report *benchReport) error {
 	gws := make([]*remote.Gateway, r.gateways)
 	devices := make([]*devicePool, r.gateways)
 	for i := range gws {
 		gws[i] = remote.NewGateway(baseURL, nil)
-		gws[i].SetWire(wire)
 		// A padded Source, not NewRand: each goroutine writes its generator
 		// on every draw, and bare 16-byte PCGs allocated back to back share a
 		// cache line.

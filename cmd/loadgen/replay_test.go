@@ -73,7 +73,7 @@ func TestReplayGatewaysShareHistograms(t *testing.T) {
 		defer srv.Close()
 		r := newTestRun(t, g, 4)
 		var report benchReport
-		if err := r.replayHTTP(srv.URL, remote.WireBinary, &report); err != nil {
+		if err := r.replayHTTP(srv.URL, &report); err != nil {
 			t.Fatal(err)
 		}
 		r.finish(&report)

@@ -12,13 +12,15 @@ import (
 
 // Client is the device side of the protocol: it owns one user's trajectory
 // and never ships a raw location — only presence metadata and locally
-// perturbed OUE bits. Requests run under the transport's per-attempt
+// perturbed OUE bits. On the wire a client is a gateway with a shard of
+// one: a one-user presence frame, a one-user assignment poll and a
+// one-entry report frame. Requests run under the transport's per-attempt
 // timeout; the idempotent paths (presence, assignment polls) additionally
 // retry transient failures, while the report upload never does — the
 // curator accepts one report per assignment, and retrying an ambiguous
 // success would be rejected as a duplicate anyway.
 type Client struct {
-	tr   *transport
+	gw   *Gateway
 	user int
 	traj trajectory.CellTrajectory
 	dom  *transition.Domain
@@ -29,7 +31,7 @@ type Client struct {
 // grid (in a deployment the curator publishes the grid parameters).
 func NewClient(baseURL string, httpClient *http.Client, user int, traj trajectory.CellTrajectory, dom *transition.Domain, seed uint64) *Client {
 	return &Client{
-		tr:   newTransport(baseURL, httpClient),
+		gw:   NewGateway(baseURL, httpClient),
 		user: user,
 		traj: traj,
 		dom:  dom,
@@ -39,12 +41,7 @@ func NewClient(baseURL string, httpClient *http.Client, user int, traj trajector
 
 // SetRetryPolicy overrides the client's timeout/retry bounds (zero fields
 // keep their defaults). Call before issuing requests.
-func (c *Client) SetRetryPolicy(p RetryPolicy) { c.tr.policy = p }
-
-// SetWire pins the wire encoding (default WireAuto: negotiate up to binary
-// frames when the curator advertises support). Call before issuing
-// requests.
-func (c *Client) SetWire(m WireMode) { c.tr.wire = m }
+func (c *Client) SetRetryPolicy(p RetryPolicy) { c.gw.SetRetryPolicy(p) }
 
 // StateAt returns the client's transition state at timestamp t and whether
 // it has one: enter at Start, moves while continuing, and the final
@@ -75,8 +72,7 @@ func (c *Client) AnnouncePresence(t int) error {
 	if _, ok := c.StateAt(t); !ok {
 		return nil
 	}
-	return c.tr.postWire("/v1/presence", presenceRequest{User: c.user, T: t},
-		func() ([]byte, error) { return encodePresenceFrame(t, []int{c.user}) }, true, nil)
+	return c.gw.AnnouncePresence([]int{c.user}, t)
 }
 
 // MaybeReport polls the assignment for t and, if sampled, perturbs the
@@ -87,10 +83,11 @@ func (c *Client) MaybeReport(t int) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	var a Assignment
-	if err := c.tr.getJSON(fmt.Sprintf("/v1/assignment?user=%d&t=%d", c.user, t), &a); err != nil {
+	as, err := c.gw.Assignments([]int{c.user}, t)
+	if err != nil {
 		return false, err
 	}
+	a := as[0]
 	if !a.Report {
 		return false, nil
 	}
@@ -109,19 +106,12 @@ func (c *Client) MaybeReport(t int) (bool, error) {
 	// PerturbPacked consumes the RNG identically to Perturb, so the choice
 	// changes bytes on the wire, never the report.
 	if ldp.PreferPacked(d, a.Epsilon) {
-		packed := []PackedBatchReport{{User: c.user, Bits: oracle.PerturbPacked(c.rng, idx).Bytes(d)}}
-		if err := c.tr.postWire("/v1/report", reportRequest{T: t, Packed: packed},
-			func() ([]byte, error) { return EncodePackedReportFrame(t, d, packed) }, false, nil); err != nil {
-			return false, err
-		}
-		return true, nil
+		err = c.gw.ReportPacked(t, d, []PackedBatchReport{{User: c.user, Bits: oracle.PerturbPacked(c.rng, idx).Bytes(d)}})
+	} else {
+		// The perturbed bits are the only thing that leaves the device.
+		err = c.gw.ReportBatch(t, []BatchReport{{User: c.user, Ones: oracle.Perturb(c.rng, idx)}})
 	}
-	ones := oracle.Perturb(c.rng, idx) // the only thing that leaves the device
-	if err := c.tr.postWire("/v1/report", reportRequest{User: c.user, T: t, Ones: ones},
-		func() ([]byte, error) { return EncodeSingleReportFrame(t, c.user, ones) }, false, nil); err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
 func drain(resp *http.Response) {
@@ -147,27 +137,27 @@ func (co *Coordinator) SetRetryPolicy(p RetryPolicy) { co.tr.policy = p }
 
 // Plan opens the round for timestamp t.
 func (co *Coordinator) Plan(t int) error {
-	return co.tr.postJSON("/v1/plan", planRequest{T: t}, false, nil)
+	return co.tr.postJSON("/v1/plan", planRequest{T: t})
 }
 
 // Finalize closes timestamp t with the public active count.
 func (co *Coordinator) Finalize(t, active int) error {
-	return co.tr.postJSON("/v1/finalize", finalizeRequest{T: t, Active: active}, false, nil)
+	return co.tr.postJSON("/v1/finalize", finalizeRequest{T: t, Active: active})
 }
 
-// Synthetic fetches the current release.
-func (co *Coordinator) Synthetic() (*trajectory.RawDataset, []byte, error) {
+// Synthetic fetches the current release as the curator's CSV.
+func (co *Coordinator) Synthetic() ([]byte, error) {
 	var body rawBody
-	if err := co.tr.do(http.MethodGet, "/v1/synthetic", nil, "", true, &body); err != nil {
-		return nil, nil, err
+	if err := co.tr.get("/v1/synthetic", &body); err != nil {
+		return nil, err
 	}
-	return nil, body, nil
+	return body, nil
 }
 
 // Stats fetches the curator's activity counters and per-stage timings.
 func (co *Coordinator) Stats() (StatsSnapshot, error) {
 	var s StatsSnapshot
-	err := co.tr.getJSON("/v1/stats", &s)
+	err := co.tr.get("/v1/stats", &s)
 	return s, err
 }
 

@@ -1,45 +1,19 @@
 package remote
 
 import (
+	"bytes"
+	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"sync"
+	"strings"
 	"testing"
 
 	"retrasyn/internal/ldp"
 )
 
-// jsonOnlyServer wraps a curator handler to simulate a pre-binary curator:
-// it strips the wire advert from every response and rejects any binary
-// request outright — the environment an upgraded client meets during a
-// rolling deploy.
-func jsonOnlyServer(t *testing.T, inner http.Handler) *httptest.Server {
-	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if isBinary(r) {
-			t.Errorf("binary request %s %s reached a JSON-only server", r.Method, r.URL.Path)
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-			return
-		}
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		for k, vs := range rec.Header() {
-			if k == wireAdvertHeader {
-				continue
-			}
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-	}))
-}
-
 // driveGatewayRounds replays T identical rounds through a gateway with a
-// caller-owned RNG and report-encoding choice, returning the curator's
-// report count.
+// caller-owned RNG, returning the curator's report count.
 func driveGatewayRounds(t *testing.T, cur *Curator, gw *Gateway, rng ldp.Rand, T int) int {
 	t.Helper()
 	d := cur.DomainSize()
@@ -66,8 +40,8 @@ func driveGatewayRounds(t *testing.T, cur *Curator, gw *Gateway, rng ldp.Rand, T
 			oracle := ldp.MustOUE(d, a.Epsilon)
 			batch = append(batch, BatchReport{User: users[i], Ones: oracle.Perturb(rng, users[i]%d)})
 		}
-		// Alternate the report member so single rounds exercise the sparse
-		// and packed forms on whatever wire the gateway negotiated.
+		// Alternate the report form so the run exercises both the sparse and
+		// the packed frame.
 		if ts%2 == 0 && len(batch) > 0 {
 			packed, err := PackReportBatch(batch, d)
 			if err != nil {
@@ -87,10 +61,15 @@ func driveGatewayRounds(t *testing.T, cur *Curator, gw *Gateway, rng ldp.Rand, T
 	return reports
 }
 
-// TestJSONClientAgainstBinaryCurator: a pinned-JSON gateway (standing in
-// for a pre-binary deployment) completes full rounds against the upgraded
-// curator without a single failed request.
-func TestJSONClientAgainstBinaryCurator(t *testing.T) {
+// TestGatewayWireBitIdentity pins the gateway's release over the binary
+// wire. The pin was recorded when the framed endpoints still spoke JSON as
+// well, and the JSON, binary and auto-negotiated runs all released exactly
+// this: dropping an encoding changed bytes on the wire, never the release.
+func TestGatewayWireBitIdentity(t *testing.T) {
+	const (
+		wantReports = 51
+		wantHash    = 0xe7d7c97e99bfebd3
+	)
 	cur, err := NewCurator(testConfig(testGrid()))
 	if err != nil {
 		t.Fatal(err)
@@ -98,173 +77,139 @@ func TestJSONClientAgainstBinaryCurator(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(cur))
 	defer srv.Close()
 	gw := NewGateway(srv.URL, nil)
-	gw.SetWire(WireJSON)
 	gw.SetRetryPolicy(fastPolicy())
-	if n := driveGatewayRounds(t, cur, gw, ldp.NewRand(4, 2), 6); n == 0 {
-		t.Fatal("no reports landed")
+	if n := driveGatewayRounds(t, cur, gw, ldp.NewRand(99, 7), 8); n != wantReports {
+		t.Fatalf("reports = %d, want %d", n, wantReports)
 	}
-}
-
-// TestBinaryClientAgainstJSONServer: a binary-capable WireAuto gateway
-// against a JSON-only curator never sends a binary request (there is no
-// advert to upgrade on) and completes every round — fallback without a
-// single failed request.
-func TestBinaryClientAgainstJSONServer(t *testing.T) {
-	cur, err := NewCurator(testConfig(testGrid()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := jsonOnlyServer(t, NewHandler(cur))
-	defer srv.Close()
-	gw := NewGateway(srv.URL, nil) // WireAuto default
-	gw.SetRetryPolicy(fastPolicy())
-	if n := driveGatewayRounds(t, cur, gw, ldp.NewRand(4, 2), 6); n == 0 {
-		t.Fatal("no reports landed")
-	}
-}
-
-// TestWireAutoUpgradesAfterAdvert: against a binary-capable curator a
-// WireAuto transport's first framed request is JSON (nothing advertised
-// yet) and every later one is binary — negotiation costs zero probe
-// requests and zero failures.
-func TestWireAutoUpgradesAfterAdvert(t *testing.T) {
-	cur, err := NewCurator(testConfig(testGrid()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var presenceCTs []string
-	inner := NewHandler(cur)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/presence" {
-			mu.Lock()
-			presenceCTs = append(presenceCTs, r.Header.Get("Content-Type"))
-			mu.Unlock()
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	gw := NewGateway(srv.URL, nil) // WireAuto
-	gw.SetRetryPolicy(fastPolicy())
-	users := []int{1, 2, 3}
-	for ts := 0; ts < 3; ts++ {
-		if err := gw.AnnouncePresence(users, ts); err != nil {
-			t.Fatalf("t=%d: %v", ts, err)
-		}
-		if err := cur.Plan(ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := cur.Finalize(ts, len(users)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(presenceCTs) != 3 {
-		t.Fatalf("saw %d presence requests, want 3", len(presenceCTs))
-	}
-	if presenceCTs[0] != "application/json" {
-		t.Fatalf("first request Content-Type = %q, want JSON before any advert", presenceCTs[0])
-	}
-	for i, ct := range presenceCTs[1:] {
-		if ct != WireContentType {
-			t.Fatalf("request %d Content-Type = %q, want %q after the advert", i+1, ct, WireContentType)
-		}
-	}
-}
-
-// TestGatewayWireBitIdentity: the same rounds with the same perturbation
-// stream through a JSON-pinned and a binary-pinned gateway land
-// bit-identically — same report counts, same synthetic release. The wire
-// encoding is pure transport.
-func TestGatewayWireBitIdentity(t *testing.T) {
-	g := testGrid()
-	curJSON, err := NewCurator(testConfig(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	curBin, err := NewCurator(testConfig(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvJSON := httptest.NewServer(NewHandler(curJSON))
-	defer srvJSON.Close()
-	srvBin := httptest.NewServer(NewHandler(curBin))
-	defer srvBin.Close()
-
-	gwJSON := NewGateway(srvJSON.URL, nil)
-	gwJSON.SetWire(WireJSON)
-	gwJSON.SetRetryPolicy(fastPolicy())
-	gwBin := NewGateway(srvBin.URL, nil)
-	gwBin.SetWire(WireBinary)
-	gwBin.SetRetryPolicy(fastPolicy())
-
-	const T = 8
-	nJSON := driveGatewayRounds(t, curJSON, gwJSON, ldp.NewRand(99, 7), T)
-	nBin := driveGatewayRounds(t, curBin, gwBin, ldp.NewRand(99, 7), T)
-	if nJSON == 0 || nJSON != nBin {
-		t.Fatalf("report counts diverged: json %d, binary %d", nJSON, nBin)
-	}
-	if !reflect.DeepEqual(curJSON.Synthetic("x"), curBin.Synthetic("x")) {
-		t.Fatal("binary wire released a different synthetic database than JSON")
+	if got := releaseHash(cur.Synthetic("x")); got != wantHash {
+		t.Fatalf("release hash = %#x, want %#x", got, uint64(wantHash))
 	}
 }
 
 // TestClientWireBitIdentity runs the full device-client protocol —
-
-// presence, per-user assignment polls, density-chosen single reports —
-// over both wires with identical seeds and requires identical releases.
-// This also exercises the client's packed single-report upload (ε=1 on the
-// test grid prefers the packed form) on both encodings.
+// one-user presence frames, one-user assignment polls, density-chosen
+// one-entry report frames (ε=1 on the test grid prefers the packed form) —
+// and pins the CSV release. Like the gateway pin, it was recorded when the
+// JSON, binary and auto-negotiated clients all released these bytes.
 func TestClientWireBitIdentity(t *testing.T) {
+	const (
+		wantReports = 94
+		wantCSVHash = 0xe40e3343a80747f9
+	)
 	g := testGrid()
-	run := func(mode WireMode) ([]byte, int) {
-		cur, err := NewCurator(testConfig(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const T = 12
-		srv := httptest.NewServer(NewHandler(cur))
-		defer srv.Close()
-		clients, _ := buildClients(t, g, cur, srv.URL, 60, T)
-		co := NewCoordinator(srv.URL, nil)
+	cur, err := NewCurator(testConfig(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const T = 12
+	srv := httptest.NewServer(NewHandler(cur))
+	defer srv.Close()
+	clients, _ := buildClients(t, g, cur, srv.URL, 60, T)
+	co := NewCoordinator(srv.URL, nil)
+	for ts := 0; ts < T; ts++ {
+		active := 0
 		for _, c := range clients {
-			c.SetWire(mode)
-		}
-		for ts := 0; ts < T; ts++ {
-			active := 0
-			for _, c := range clients {
-				if err := c.AnnouncePresence(ts); err != nil {
-					t.Fatalf("t=%d presence: %v", ts, err)
-				}
-				if c.LocatedAt(ts) {
-					active++
-				}
+			if err := c.AnnouncePresence(ts); err != nil {
+				t.Fatalf("t=%d presence: %v", ts, err)
 			}
-			if err := co.Plan(ts); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range clients {
-				if _, err := c.MaybeReport(ts); err != nil {
-					t.Fatalf("t=%d report: %v", ts, err)
-				}
-			}
-			if err := co.Finalize(ts, active); err != nil {
-				t.Fatal(err)
+			if c.LocatedAt(ts) {
+				active++
 			}
 		}
-		_, body, err := co.Synthetic()
+		if err := co.Plan(ts); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range clients {
+			if _, err := c.MaybeReport(ts); err != nil {
+				t.Fatalf("t=%d report: %v", ts, err)
+			}
+		}
+		if err := co.Finalize(ts, active); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := co.Synthetic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, reports := cur.Stats(); reports != wantReports {
+		t.Fatalf("reports = %d, want %d", reports, wantReports)
+	}
+	h := fnv.New64a()
+	h.Write(body)
+	if got := h.Sum64(); got != wantCSVHash {
+		t.Fatalf("CSV release hash = %#x, want %#x", got, uint64(wantCSVHash))
+	}
+}
+
+// TestFramedEndpointsRejectJSON: the hot-path endpoints take only binary
+// frames. A JSON body gets 415 naming the type it carried, the retired
+// single-user GET /v1/assignment is gone, and none of it disturbs the open
+// round.
+func TestFramedEndpointsRejectJSON(t *testing.T) {
+	cur, err := NewCurator(testConfig(testGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(cur))
+	defer srv.Close()
+	users := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	sampled := driveRound(t, cur, 0, users)
+	if len(sampled) == 0 {
+		t.Fatal("no users sampled")
+	}
+
+	for path, body := range map[string]string{
+		"/v1/presence":    `{"t":0,"users":[9]}`,
+		"/v1/assignments": `{"t":0,"users":[1]}`,
+		"/v1/report":      `{"user":1,"t":0,"ones":[0]}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, reports := cur.Stats()
-		return body, reports
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s with JSON: status %d, want 415", path, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), "application/json") {
+			t.Fatalf("%s: 415 body %q does not name the received type", path, msg)
+		}
 	}
-	jsonCSV, jsonReports := run(WireJSON)
-	binCSV, binReports := run(WireBinary)
-	if jsonReports == 0 || jsonReports != binReports {
-		t.Fatalf("report counts diverged: json %d, binary %d", jsonReports, binReports)
+	resp, err := http.Get(srv.URL + "/v1/assignment?user=1&t=0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(jsonCSV, binCSV) {
-		t.Fatal("client over binary wire released a different synthetic database than JSON")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/assignment: status %d, want 404 or 405", resp.StatusCode)
+	}
+
+	// The round is intact: the sampled users report over frames and the
+	// round finalizes with exactly their reports.
+	d := cur.DomainSize()
+	rng := ldp.NewRand(5, 6)
+	var batch []BatchReport
+	for u, a := range sampled {
+		batch = append(batch, BatchReport{User: u, Ones: ldp.MustOUE(d, a.Epsilon).Perturb(rng, u%d)})
+	}
+	frame, err := EncodeSparseReportFrame(0, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/v1/report", WireContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("framed report after JSON attempts: status %d", resp.StatusCode)
+	}
+	if err := cur.Finalize(0, len(users)); err != nil {
+		t.Fatal(err)
+	}
+	if _, reports := cur.Stats(); reports != len(batch) {
+		t.Fatalf("reports = %d, want %d", reports, len(batch))
 	}
 }

@@ -9,7 +9,7 @@
 //
 //  1. clients POST /v1/presence        — "I am present at timestamp t"
 //  2. coordinator POST /v1/plan        — curator recycles, samples, fixes ε_t
-//  3. clients GET /v1/assignment       — "am I sampled, at what budget?"
+//  3. clients POST /v1/assignments     — "am I sampled, at what budget?"
 //  4. sampled clients POST /v1/report  — locally perturbed OUE bits
 //  5. coordinator POST /v1/finalize    — aggregate, DMU, synthesis step
 //  6. anyone GET /v1/synthetic         — the current private release
@@ -230,15 +230,11 @@ func (c *Curator) Ledger() *allocation.Ledger {
 	return c.eng.Ledger()
 }
 
-// Presence registers that user id is present at timestamp t (has a
-// transition state to contribute). Presence for a past timestamp is
-// rejected.
-func (c *Curator) Presence(user, t int) error { return c.PresenceBatch([]int{user}, t) }
-
-// PresenceBatch registers a whole gateway shard's presence in one call.
-// Registration is a set operation, so the batch needs no all-or-nothing
-// staging and the call (like Presence) is safely retryable — re-announcing
-// a user is a no-op and is not double-counted.
+// PresenceBatch registers that users are present at timestamp t (have a
+// transition state to contribute); presence for a past timestamp is
+// rejected. Registration is a set operation, so the batch needs no
+// all-or-nothing staging and the call is safely retryable — re-announcing a
+// user is a no-op and is not double-counted.
 func (c *Curator) PresenceBatch(users []int, t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -307,16 +303,7 @@ func (c *Curator) openAt(t int) bool {
 	return open && t == c.eng.LastT()
 }
 
-// AssignmentFor answers a client's poll after Plan.
-func (c *Curator) AssignmentFor(user, t int) (Assignment, error) {
-	as, err := c.AssignmentsFor([]int{user}, t)
-	if err != nil {
-		return Assignment{}, err
-	}
-	return as[0], nil
-}
-
-// AssignmentsFor answers a gateway's batched poll after Plan: one entry per
+// AssignmentsFor answers a batched assignment poll after Plan: one entry per
 // requested user, index-aligned. Read-only, so safely retryable.
 func (c *Curator) AssignmentsFor(users []int, t int) ([]Assignment, error) {
 	c.mu.Lock()
@@ -329,11 +316,6 @@ func (c *Curator) AssignmentsFor(users []int, t int) ([]Assignment, error) {
 		out[i] = c.assignments[u]
 	}
 	return out, nil
-}
-
-// Report ingests a sampled client's perturbed OUE bits (indices of ones).
-func (c *Curator) Report(user, t int, ones []int) error {
-	return c.ReportBatch(t, []BatchReport{{User: user, Ones: ones}})
 }
 
 // admitLocked is the all-or-nothing gate of a report upload: the round for t

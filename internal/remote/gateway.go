@@ -1,11 +1,9 @@
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
 // Gateway is the aggregation tier of the protocol: it fans a shard of
@@ -14,11 +12,8 @@ import (
 // the whole shard — instead of per-device round trips. The batched presence
 // and assignment paths are set-or-read operations on the curator and retry
 // transient failures under the transport policy; the report upload, like
-// the device client's, gets exactly one attempt.
-//
-// By default the gateway negotiates the wire encoding (WireAuto): requests
-// start as JSON and switch to binary frames once the curator advertises
-// support, so the same gateway binary works against any curator version.
+// the device client's, gets exactly one attempt. Every request is a binary
+// frame (wire.go).
 //
 // A gateway never sees raw locations either: devices (or the replay
 // harness standing in for them) hand it locally perturbed OUE bits.
@@ -35,9 +30,21 @@ func NewGateway(baseURL string, httpClient *http.Client) *Gateway {
 // keep their defaults). Call before issuing requests.
 func (g *Gateway) SetRetryPolicy(p RetryPolicy) { g.tr.policy = p }
 
-// SetWire pins the wire encoding (default WireAuto: negotiate up to binary
-// when the curator advertises it). Call before issuing requests.
-func (g *Gateway) SetWire(m WireMode) { g.tr.wire = m }
+// WireMode is the retired wire-encoding knob: the framed endpoints speak only
+// binary frames, so there is nothing left to choose.
+//
+// Deprecated: WireBinary is the only value and Gateway.SetWire ignores it.
+type WireMode int
+
+// WireBinary is the only wire encoding.
+//
+// Deprecated: see WireMode.
+const WireBinary WireMode = 0
+
+// SetWire does nothing: every gateway request is a binary frame.
+//
+// Deprecated: drop the call.
+func (g *Gateway) SetWire(WireMode) {}
 
 // AnnouncePresence registers the shard's users for timestamp t in one
 // request. Presence is a set operation, so a retried announcement cannot
@@ -46,8 +53,11 @@ func (g *Gateway) AnnouncePresence(users []int, t int) error {
 	if len(users) == 0 {
 		return nil
 	}
-	return g.tr.postWire("/v1/presence", presenceRequest{T: t, Users: users},
-		func() ([]byte, error) { return encodePresenceFrame(t, users) }, true, nil)
+	frame, err := encodeUsersFrame(frameKindPresence, t, users)
+	if err != nil {
+		return err
+	}
+	return g.tr.postFrame("/v1/presence", frame, true, nil)
 }
 
 // Assignments polls the sampling assignments for the shard, index-aligned
@@ -56,9 +66,12 @@ func (g *Gateway) Assignments(users []int, t int) ([]Assignment, error) {
 	if len(users) == 0 {
 		return nil, nil
 	}
+	frame, err := encodeUsersFrame(frameKindAssignments, t, users)
+	if err != nil {
+		return nil, err
+	}
 	var res assignmentsResult
-	if err := g.tr.postWire("/v1/assignments", assignmentsRequest{T: t, Users: users},
-		func() ([]byte, error) { return encodeAssignmentsFrame(t, users) }, true, &res); err != nil {
+	if err := g.tr.postFrame("/v1/assignments", frame, true, &res); err != nil {
 		return nil, err
 	}
 	if len(res.as) != len(users) {
@@ -73,50 +86,45 @@ func (g *Gateway) ReportBatch(t int, batch []BatchReport) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	return g.tr.postWire("/v1/report", reportRequest{T: t, Reports: batch},
-		func() ([]byte, error) { return EncodeSparseReportFrame(t, batch) }, false, nil)
+	frame, err := EncodeSparseReportFrame(t, batch)
+	if err != nil {
+		return err
+	}
+	return g.tr.postFrame("/v1/report", frame, false, nil)
 }
 
 // ReportPacked ships the shard's bit-packed report batch over a domain of
-// size d — exactly one attempt, all-or-nothing on the curator. On the
-// binary wire each entry costs its varint user ID plus the raw ⌈d/8⌉
-// report bytes; d rides in the frame so a curator mid-relayout rejects the
-// stale encoding cleanly.
+// size d — exactly one attempt, all-or-nothing on the curator. Each entry
+// costs its varint user ID plus the raw ⌈d/8⌉ report bytes; d rides in the
+// frame so a curator mid-relayout rejects the stale encoding cleanly.
 func (g *Gateway) ReportPacked(t, d int, batch []PackedBatchReport) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	return g.tr.postWire("/v1/report", reportRequest{T: t, Packed: batch},
-		func() ([]byte, error) { return EncodePackedReportFrame(t, d, batch) }, false, nil)
+	frame, err := EncodePackedReportFrame(t, d, batch)
+	if err != nil {
+		return err
+	}
+	return g.tr.postFrame("/v1/report", frame, false, nil)
 }
 
-// assignmentsResult decodes an assignments response in whichever encoding
-// the server chose — a binary-capable curator answers a binary poll with a
-// frame, a JSON-only one answers with JSON — routed by Content-Type.
+// assignmentsResult decodes the assignments response frame.
 type assignmentsResult struct {
 	as []Assignment
 }
 
-func (a *assignmentsResult) decodeWire(contentType string, r io.Reader) error {
-	if strings.HasPrefix(contentType, WireContentType) {
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return err
-		}
-		kind, payload, err := decodeFrame(body)
-		if err != nil {
-			return err
-		}
-		if kind != frameKindAssignmentsResp {
-			return fmt.Errorf("remote: assignments response carries frame kind 0x%02x", kind)
-		}
-		a.as, err = decodeAssignmentsRespPayload(payload)
+func (a *assignmentsResult) decodeFrom(r io.Reader) error {
+	body, err := io.ReadAll(r)
+	if err != nil {
 		return err
 	}
-	var resp assignmentsResponse
-	if err := json.NewDecoder(r).Decode(&resp); err != nil {
+	kind, payload, err := decodeFrame(body)
+	if err != nil {
 		return err
 	}
-	a.as = resp.Assignments
-	return nil
+	if kind != frameKindAssignmentsResp {
+		return fmt.Errorf("remote: assignments response carries frame kind 0x%02x", kind)
+	}
+	a.as, err = decodeAssignmentsRespPayload(payload)
+	return err
 }

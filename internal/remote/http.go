@@ -2,9 +2,9 @@ package remote
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -13,48 +13,14 @@ import (
 	"retrasyn/internal/trajectory"
 )
 
-// HTTP transport for the curator. Bodies are JSON by default; the framed
-// endpoints (presence, assignments, report) also speak the binary wire
-// protocol when the request's Content-Type is application/x-retrasyn (see
-// wire.go for the frame layout and negotiation rules). Errors map to 4xx
-// with a plain-text reason either way.
-
-// presenceRequest announces presence for one user (User) or a whole
-// gateway's worth at once (Users); both forms may appear in one request.
-// Presence is a set operation, so the batched form is safely retryable.
-type presenceRequest struct {
-	User  int   `json:"user"`
-	T     int   `json:"t"`
-	Users []int `json:"users,omitempty"`
-}
-
-// assignmentsRequest is the batched assignment poll: one round trip for a
-// gateway's whole user shard instead of one GET per user.
-type assignmentsRequest struct {
-	T     int   `json:"t"`
-	Users []int `json:"users"`
-}
-
-type assignmentsResponse struct {
-	// Assignments aligns index-for-index with the request's Users.
-	Assignments []Assignment `json:"assignments"`
-}
+// HTTP transport for the curator. The three hot-path endpoints (presence,
+// assignments, report) take only binary frames (wire.go); a body of any
+// other Content-Type gets 415. The control plane (plan, finalize, stats,
+// snapshot/restore, relayout, health) speaks JSON. Errors map to 4xx with a
+// plain-text reason.
 
 type planRequest struct {
 	T int `json:"t"`
-}
-
-// reportRequest carries one user's report (user/ones), a sparse batch
-// (reports), or a bit-packed batch (packed, base64 dense bits — the compact
-// form for dense rounds); a non-empty packed batch takes precedence over a
-// sparse batch, which takes precedence over the single report. Batches are
-// all-or-nothing.
-type reportRequest struct {
-	User    int                 `json:"user"`
-	T       int                 `json:"t"`
-	Ones    []int               `json:"ones"`
-	Reports []BatchReport       `json:"reports,omitempty"`
-	Packed  []PackedBatchReport `json:"packed,omitempty"`
 }
 
 type finalizeRequest struct {
@@ -113,13 +79,12 @@ type handler struct {
 }
 
 // wireSeries are the registry mirrors of one endpoint's ledger: cumulative
-// body bytes each way plus per-format request counts. Pre-created at route
+// body bytes each way plus the request count. Pre-created at route
 // registration so the request path only touches atomics.
 type wireSeries struct {
 	bytesIn  *obs.Counter
 	bytesOut *obs.Counter
-	reqJSON  *obs.Counter
-	reqBin   *obs.Counter
+	requests *obs.Counter
 }
 
 func newWireSeries(reg *obs.Registry, path string) wireSeries {
@@ -127,14 +92,12 @@ func newWireSeries(reg *obs.Registry, path string) wireSeries {
 	return wireSeries{
 		bytesIn:  reg.Counter("wire.bytes_in", p),
 		bytesOut: reg.Counter("wire.bytes_out", p),
-		reqJSON:  reg.Counter("wire.requests", p, obs.Label{Key: "format", Value: "json"}),
-		reqBin:   reg.Counter("wire.requests", p, obs.Label{Key: "format", Value: "binary"}),
+		requests: reg.Counter("wire.requests", p),
 	}
 }
 
 // countingWriter tallies response body bytes (headers excluded — they are
-// not payload and the JSON-vs-binary comparison should not be diluted by
-// them).
+// not payload, and bytes/report should not be diluted by them).
 type countingWriter struct {
 	http.ResponseWriter
 	n int64
@@ -160,9 +123,8 @@ func (r *countingReader) Read(p []byte) (int, error) {
 
 func (r *countingReader) Close() error { return r.r.Close() }
 
-// route registers fn with the wire middleware: advertise binary support on
-// every response and account request/response bytes against the endpoint's
-// ledger.
+// route registers fn with the wire middleware: count the request and
+// account request/response bytes against the endpoint's ledger.
 func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc) {
 	path := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
@@ -175,12 +137,7 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 	}
 	ws := newWireSeries(h.c.Metrics(), path)
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(wireAdvertHeader, wireAdvertValue)
-		if isBinary(r) {
-			ws.reqBin.Inc()
-		} else {
-			ws.reqJSON.Inc()
-		}
+		ws.requests.Inc()
 		cr := &countingReader{r: r.Body}
 		r.Body = cr
 		cw := &countingWriter{ResponseWriter: w}
@@ -198,21 +155,14 @@ func (h *handler) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc)
 	})
 }
 
-// isBinary reports whether the request body is a binary frame.
-func isBinary(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == WireContentType || strings.HasPrefix(ct, WireContentType+";")
-}
-
-// acceptsBinary reports whether the client asked for a binary response.
-func acceptsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), WireContentType)
-}
-
 // readFrame reads and validates one binary frame of the wanted kind,
-// writing the 400 itself on failure. The returned payload aliases the body
-// buffer.
+// writing the 415 or 400 itself on failure. The returned payload aliases the
+// body buffer.
 func readFrame(w http.ResponseWriter, r *http.Request, wantKind byte) ([]byte, bool) {
+	if ct := r.Header.Get("Content-Type"); ct != WireContentType && !strings.HasPrefix(ct, WireContentType+";") {
+		http.Error(w, fmt.Sprintf("remote: %s takes %s frames, got Content-Type %q", r.URL.Path, WireContentType, ct), http.StatusUnsupportedMediaType)
+		return nil, false
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, wireHeaderLen+wireMaxPayload+1))
 	if err != nil {
 		http.Error(w, "remote: reading binary frame: "+err.Error(), http.StatusBadRequest)
@@ -235,70 +185,38 @@ func NewHandler(c *Curator) http.Handler {
 	h := &handler{c: c, wire: make(map[string]*wireCounter)}
 	mux := http.NewServeMux()
 	h.route(mux, "POST /v1/presence", func(w http.ResponseWriter, r *http.Request) {
-		var t int
-		var users []int
-		single, user := false, 0
-		if isBinary(r) {
-			payload, ok := readFrame(w, r, frameKindPresence)
-			if !ok {
-				return
-			}
-			var err error
-			if t, users, err = decodePresencePayload(payload); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		} else {
-			var req presenceRequest
-			if !decode(w, r, &req) {
-				return
-			}
-			t, users = req.T, req.Users
-			single, user = len(req.Users) == 0, req.User
+		payload, ok := readFrame(w, r, frameKindPresence)
+		if !ok {
+			return
 		}
-		var err error
-		if single {
-			err = c.Presence(user, t)
-		} else {
-			err = c.PresenceBatch(users, t)
-		}
+		t, users, err := decodeUsersPayload(payload)
 		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if err := c.PresenceBatch(users, t); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	h.route(mux, "POST /v1/assignments", func(w http.ResponseWriter, r *http.Request) {
-		var t int
-		var users []int
-		if isBinary(r) {
-			payload, ok := readFrame(w, r, frameKindAssignments)
-			if !ok {
-				return
-			}
-			var err error
-			if t, users, err = decodeAssignmentsPayload(payload); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		} else {
-			var req assignmentsRequest
-			if !decode(w, r, &req) {
-				return
-			}
-			t, users = req.T, req.Users
+		payload, ok := readFrame(w, r, frameKindAssignments)
+		if !ok {
+			return
+		}
+		t, users, err := decodeUsersPayload(payload)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		as, err := c.AssignmentsFor(users, t)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		if acceptsBinary(r) {
-			w.Header().Set("Content-Type", WireContentType)
-			w.Write(encodeAssignmentsRespFrame(as))
-			return
-		}
-		writeJSON(w, assignmentsResponse{Assignments: as})
+		w.Header().Set("Content-Type", WireContentType)
+		w.Write(encodeAssignmentsRespFrame(as))
 	})
 	h.route(mux, "POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		var req planRequest
@@ -311,57 +229,24 @@ func NewHandler(c *Curator) http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	h.route(mux, "GET /v1/assignment", func(w http.ResponseWriter, r *http.Request) {
-		user, err1 := strconv.Atoi(r.URL.Query().Get("user"))
-		t, err2 := strconv.Atoi(r.URL.Query().Get("t"))
-		if err1 != nil || err2 != nil {
-			http.Error(w, "remote: bad user/t query parameters", http.StatusBadRequest)
-			return
-		}
-		a, err := c.AssignmentFor(user, t)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		writeJSON(w, a)
-	})
 	h.route(mux, "POST /v1/report", func(w http.ResponseWriter, r *http.Request) {
-		var err error
-		if isBinary(r) {
-			// The binary hot path: the frame's packed rows alias the request
-			// body and decode straight into the fold buffer, outside the
-			// round lock. A malformed frame 400s before the curator is
-			// touched; a rejected batch leaves the round intact.
-			payload, ok := readFrame(w, r, frameKindReport)
-			if !ok {
-				return
-			}
-			rf, derr := decodeReportPayload(payload)
-			if derr != nil {
-				http.Error(w, derr.Error(), http.StatusBadRequest)
-				return
-			}
-			switch rf.form {
-			case reportFormPacked:
-				err = c.reportPackedWire(rf.t, rf.d, rf.users, rf.bits)
-			case reportFormSparse:
-				err = c.ReportBatch(rf.t, rf.batch)
-			default:
-				err = c.Report(rf.user, rf.t, rf.ones)
-			}
+		// The packed rows alias the request body and decode straight into
+		// the fold buffer, outside the round lock. A malformed frame 400s
+		// before the curator is touched; a rejected batch leaves the round
+		// intact.
+		payload, ok := readFrame(w, r, frameKindReport)
+		if !ok {
+			return
+		}
+		rf, err := decodeReportPayload(payload)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if rf.form == reportFormPacked {
+			err = c.reportPackedWire(rf.t, rf.d, rf.users, rf.bits)
 		} else {
-			var req reportRequest
-			if !decode(w, r, &req) {
-				return
-			}
-			switch {
-			case len(req.Packed) > 0:
-				err = c.ReportPackedBatch(req.T, req.Packed)
-			case len(req.Reports) > 0:
-				err = c.ReportBatch(req.T, req.Reports)
-			default:
-				err = c.Report(req.User, req.T, req.Ones)
-			}
+			err = c.ReportBatch(rf.t, rf.batch)
 		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)

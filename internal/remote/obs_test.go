@@ -202,7 +202,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		`pipeline_stage_latency_us_count{shard="0",stage="dmu"}`,
 		`pipeline_stage_latency_us_count{shard="0",stage="synthesis"}`,
 		`wire_bytes_in{path="/v1/report"}`,
-		`wire_requests{format=`,
+		`wire_requests{path="/v1/report"}`,
 		"relayout_generation ",
 		"relayout_observe_duration_us_count ",
 		"curator_domain_size ",

@@ -2,7 +2,7 @@ package remote
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,7 +16,7 @@ import (
 func driveRound(t *testing.T, cur *Curator, ts int, users []int) map[int]Assignment {
 	t.Helper()
 	for _, u := range users {
-		if err := cur.Presence(u, ts); err != nil {
+		if err := cur.PresenceBatch([]int{u}, ts); err != nil {
 			t.Fatalf("presence u=%d t=%d: %v", u, ts, err)
 		}
 	}
@@ -25,7 +25,7 @@ func driveRound(t *testing.T, cur *Curator, ts int, users []int) map[int]Assignm
 	}
 	sampled := make(map[int]Assignment)
 	for _, u := range users {
-		a, err := cur.AssignmentFor(u, ts)
+		a, err := assignmentFor(cur, u, ts)
 		if err != nil {
 			t.Fatalf("assignment u=%d: %v", u, err)
 		}
@@ -124,7 +124,7 @@ func TestCuratorRejectsOutOfDomainReports(t *testing.T) {
 	}
 
 	for _, bad := range [][]int{{-1}, {d}, {0, 1, d + 7}, {1 << 40}} {
-		if err := cur.Report(u, 0, bad); err == nil {
+		if err := cur.ReportBatch(0, []BatchReport{{User: u, Ones: bad}}); err == nil {
 			t.Errorf("Report accepted out-of-domain ones %v", bad)
 		}
 		if err := cur.ReportBatch(0, []BatchReport{{User: u, Ones: bad}}); err == nil {
@@ -148,7 +148,7 @@ func TestCuratorRejectsOutOfDomainReports(t *testing.T) {
 
 	// The round survived every rejection: a valid report and the finalize
 	// still go through.
-	if err := cur.Report(u, 0, []int{0, d - 1}); err != nil {
+	if err := cur.ReportBatch(0, []BatchReport{{User: u, Ones: []int{0, d - 1}}}); err != nil {
 		t.Fatalf("valid report after rejections: %v", err)
 	}
 	if err := cur.Finalize(0, len(users)); err != nil {
@@ -194,8 +194,8 @@ func TestPackedBatchAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestPackedBatchOverHTTP exercises the packed member of the /v1/report
-// wire format end to end.
+// TestPackedBatchOverHTTP exercises the packed report frame on /v1/report
+// end to end.
 func TestPackedBatchOverHTTP(t *testing.T) {
 	g := testGrid()
 	cur, err := NewCurator(testConfig(g))
@@ -217,8 +217,11 @@ func TestPackedBatchOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(reportRequest{T: 0, Packed: packed})
-	resp, err := http.Post(srv.URL+"/v1/report", "application/json", bytes.NewReader(body))
+	frame, err := EncodePackedReportFrame(0, d, packed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/report", WireContentType, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +238,11 @@ func TestPackedBatchOverHTTP(t *testing.T) {
 }
 
 // FuzzPackedReportWire fuzzes the packed-report decode on the curator wire
-// path: arbitrary user/payload pairs POSTed to /v1/report must always yield
-// a clean HTTP status — 204 on acceptance, 4xx on rejection — and never
-// panic the handler, whatever the bytes.
+// path: arbitrary user/payload pairs, hand-built into a one-entry packed
+// report frame (so negative users and wrong row lengths reach the handler's
+// decode instead of being refused by the encoder) and POSTed to /v1/report,
+// must always yield a clean HTTP status — 204 on acceptance, 4xx on
+// rejection — and never panic the handler, whatever the bytes.
 func FuzzPackedReportWire(f *testing.F) {
 	g := testGrid()
 	probe, err := NewCurator(testConfig(g))
@@ -257,15 +262,20 @@ func FuzzPackedReportWire(f *testing.F) {
 		}
 		// A pool of one guarantees user 0 is sampled, so payload decoding is
 		// reachable; other user IDs exercise the assignment rejection.
-		if err := cur.Presence(0, 0); err != nil {
+		if err := cur.PresenceBatch([]int{0}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := cur.Plan(0); err != nil {
 			t.Fatal(err)
 		}
 		h := NewHandler(cur)
-		body, _ := json.Marshal(reportRequest{T: 0, Packed: []PackedBatchReport{{User: user, Bits: bits}}})
-		req := httptest.NewRequest("POST", "/v1/report", bytes.NewReader(body))
+		payload := []byte{0, reportFormPacked} // t = 0, then the form
+		payload = binary.AppendUvarint(payload, uint64(d))
+		payload = binary.AppendUvarint(payload, 1)
+		payload = binary.AppendUvarint(payload, uint64(user))
+		payload = append(payload, bits...)
+		req := httptest.NewRequest("POST", "/v1/report", bytes.NewReader(finishFrame(frameKindReport, payload)))
+		req.Header.Set("Content-Type", WireContentType)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusNoContent && rec.Code/100 != 4 {

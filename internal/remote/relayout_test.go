@@ -118,7 +118,7 @@ func TestCuratorRelayoutRejectedMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cur.Presence(1, 0); err != nil {
+	if err := cur.PresenceBatch([]int{1}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cur.Plan(0); err != nil {

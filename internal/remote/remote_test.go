@@ -23,6 +23,15 @@ func testConfig(g spatial.Discretizer) CuratorConfig {
 	}
 }
 
+// assignmentFor polls one user's assignment, as a device client does.
+func assignmentFor(cur *Curator, user, ts int) (Assignment, error) {
+	as, err := cur.AssignmentsFor([]int{user}, ts)
+	if err != nil {
+		return Assignment{}, err
+	}
+	return as[0], nil
+}
+
 // buildClients creates device clients holding random-walk trajectories
 // over any spatial discretization.
 func buildClients(t *testing.T, g spatial.Discretizer, cur *Curator, baseURL string, n, T int) ([]*Client, *trajectory.Dataset) {
@@ -107,7 +116,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		t.Fatalf("per-user window budget %v exceeds ε", got)
 	}
 	// The release is served over HTTP as CSV.
-	_, body, err := co.Synthetic()
+	body, err := co.Synthetic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +162,7 @@ func TestProtocolStateMachine(t *testing.T) {
 		t.Fatal("Plan for closed timestamp accepted")
 	}
 	// Presence for a closed timestamp.
-	if err := cur.Presence(1, 0); err == nil {
+	if err := cur.PresenceBatch([]int{1}, 0); err == nil {
 		t.Fatal("stale presence accepted")
 	}
 }
@@ -161,25 +170,25 @@ func TestProtocolStateMachine(t *testing.T) {
 func TestReportValidation(t *testing.T) {
 	g := testGrid()
 	cur, _ := NewCurator(testConfig(g))
-	cur.Presence(7, 0)
+	cur.PresenceBatch([]int{7}, 0)
 	if err := cur.Plan(0); err != nil {
 		t.Fatal(err)
 	}
 	// Unsampled user (bootstrap samples 1/w of 1 user → that one user).
-	if err := cur.Report(99, 0, []int{1}); err == nil {
+	if err := cur.ReportBatch(0, []BatchReport{{User: 99, Ones: []int{1}}}); err == nil {
 		t.Fatal("unsampled user's report accepted")
 	}
-	a, _ := cur.AssignmentFor(7, 0)
+	a, _ := assignmentFor(cur, 7, 0)
 	if a.Report {
 		// Out-of-domain bit.
-		if err := cur.Report(7, 0, []int{cur.Domain().Size()}); err == nil {
+		if err := cur.ReportBatch(0, []BatchReport{{User: 7, Ones: []int{cur.Domain().Size()}}}); err == nil {
 			t.Fatal("out-of-domain bit accepted")
 		}
 		// Valid report, then a duplicate.
-		if err := cur.Report(7, 0, []int{1, 2}); err != nil {
+		if err := cur.ReportBatch(0, []BatchReport{{User: 7, Ones: []int{1, 2}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := cur.Report(7, 0, []int{1}); err == nil {
+		if err := cur.ReportBatch(0, []BatchReport{{User: 7, Ones: []int{1}}}); err == nil {
 			t.Fatal("duplicate report accepted")
 		}
 	}
@@ -219,15 +228,15 @@ func TestQuitInference(t *testing.T) {
 	cur, _ := NewCurator(testConfig(g))
 	// User 1 present at t=0, silent at t=1 → quitted; it must not be
 	// sampleable at t=2 even after recycling windows pass.
-	cur.Presence(1, 0)
+	cur.PresenceBatch([]int{1}, 0)
 	cur.Plan(0)
 	cur.Finalize(0, 1)
 	cur.Plan(1)
 	cur.Finalize(1, 0)
 	for ts := 2; ts < 10; ts++ {
-		cur.Presence(1, ts) // a confused device reappears
+		cur.PresenceBatch([]int{1}, ts) // a confused device reappears
 		cur.Plan(ts)
-		a, _ := cur.AssignmentFor(1, ts)
+		a, _ := assignmentFor(cur, 1, ts)
 		if a.Report {
 			t.Fatalf("quitted user sampled at t=%d", ts)
 		}

@@ -314,7 +314,6 @@ func TestLedgerPerRoundOverHTTP(t *testing.T) {
 					d.gws[i] = NewGateway(d.srv.URL, nil)
 					d.gws[i].SetRetryPolicy(fastPolicy())
 				}
-				d.gws[1].SetWire(WireJSON)
 				d.co = NewCoordinator(d.srv.URL, nil)
 				return d
 			}

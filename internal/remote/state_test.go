@@ -67,7 +67,7 @@ func (d *protoDriver) step(t *testing.T, ts int, curs ...*Curator) {
 	for u := range d.trajs {
 		if _, ok := d.stateAt(u, ts); ok {
 			for _, c := range curs {
-				if err := c.Presence(u, ts); err != nil {
+				if err := c.PresenceBatch([]int{u}, ts); err != nil {
 					t.Fatalf("t=%d presence: %v", ts, err)
 				}
 			}
@@ -87,12 +87,12 @@ func (d *protoDriver) step(t *testing.T, ts int, curs ...*Curator) {
 		if !ok {
 			continue
 		}
-		a, err := curs[0].AssignmentFor(u, ts)
+		a, err := assignmentFor(curs[0], u, ts)
 		if err != nil {
 			t.Fatalf("t=%d assignment: %v", ts, err)
 		}
 		for _, c := range curs[1:] {
-			b, err := c.AssignmentFor(u, ts)
+			b, err := assignmentFor(c, u, ts)
 			if err != nil {
 				t.Fatalf("t=%d assignment: %v", ts, err)
 			}
@@ -109,7 +109,7 @@ func (d *protoDriver) step(t *testing.T, ts int, curs ...*Curator) {
 		}
 		ones := ldp.MustOUE(d.dom.Size(), a.Epsilon).Perturb(d.rngs[u], idx)
 		for _, c := range curs {
-			if err := c.Report(u, ts, ones); err != nil {
+			if err := c.ReportBatch(ts, []BatchReport{{User: u, Ones: ones}}); err != nil {
 				t.Fatalf("t=%d report: %v", ts, err)
 			}
 		}
@@ -211,25 +211,30 @@ func TestBatchedReportAndSnapshotHTTP(t *testing.T) {
 	drv := newProtoDriver(g, cur.Domain(), 80, T)
 	co := NewCoordinator(srv.URL, nil)
 
-	post := func(path string, body any) *http.Response {
+	must := func(frame []byte, err error) []byte {
 		t.Helper()
-		buf, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(buf))
+		return frame
+	}
+	post := func(path string, frame []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, WireContentType, bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
+	// unsampled is a user ID no trajectory owns, so it is never sampled.
+	unsampled := len(drv.trajs)
 
 	for ts := 0; ts < T; ts++ {
 		active := 0
 		for u := range drv.trajs {
 			if _, ok := drv.stateAt(u, ts); ok {
-				if resp := post("/v1/presence", presenceRequest{User: u, T: ts}); resp.StatusCode != http.StatusNoContent {
+				if resp := post("/v1/presence", must(encodeUsersFrame(frameKindPresence, ts, []int{u}))); resp.StatusCode != http.StatusNoContent {
 					t.Fatalf("t=%d presence: %s", ts, resp.Status)
 				}
 			}
@@ -249,7 +254,7 @@ func TestBatchedReportAndSnapshotHTTP(t *testing.T) {
 			if !ok {
 				continue
 			}
-			a, err := cur.AssignmentFor(u, ts)
+			a, err := assignmentFor(cur, u, ts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,15 +269,15 @@ func TestBatchedReportAndSnapshotHTTP(t *testing.T) {
 		}
 		if len(batch) > 0 {
 			// A batch containing an unsampled user is rejected whole.
-			bad := append([]BatchReport{{User: -1, Ones: nil}}, batch...)
-			if resp := post("/v1/report", reportRequest{T: ts, Reports: bad}); resp.StatusCode != http.StatusConflict {
+			bad := append([]BatchReport{{User: unsampled, Ones: nil}}, batch...)
+			if resp := post("/v1/report", must(EncodeSparseReportFrame(ts, bad))); resp.StatusCode != http.StatusConflict {
 				t.Fatalf("t=%d: poisoned batch accepted: %s", ts, resp.Status)
 			}
-			if resp := post("/v1/report", reportRequest{T: ts, Reports: batch}); resp.StatusCode != http.StatusNoContent {
+			if resp := post("/v1/report", must(EncodeSparseReportFrame(ts, batch))); resp.StatusCode != http.StatusNoContent {
 				t.Fatalf("t=%d batch: %s", ts, resp.Status)
 			}
 			// Batched uploads are all-or-nothing and one-shot.
-			if resp := post("/v1/report", reportRequest{T: ts, Reports: batch[:1]}); resp.StatusCode != http.StatusConflict {
+			if resp := post("/v1/report", must(EncodeSparseReportFrame(ts, batch[:1]))); resp.StatusCode != http.StatusConflict {
 				t.Fatalf("t=%d: replayed batch accepted: %s", ts, resp.Status)
 			}
 		}
@@ -304,18 +309,20 @@ func TestBatchedReportAndSnapshotHTTP(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(NewHandler(cur2))
 	defer srv2.Close()
-	if resp := post("/v1/restore", st); resp.StatusCode != http.StatusNoContent {
-		// post targets srv; restore must go to srv2.
-		t.Fatalf("restore onto the same curator failed: %s", resp.Status)
-	}
-	buf, _ := json.Marshal(st)
-	resp2, err := http.Post(srv2.URL+"/v1/restore", "application/json", bytes.NewReader(buf))
+	buf, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNoContent {
-		t.Fatalf("restore: %s", resp2.Status)
+	// Restore onto the same curator, then onto the second server.
+	for _, base := range []string{srv.URL, srv2.URL} {
+		resp, err := http.Post(base+"/v1/restore", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("restore onto %s: %s", base, resp.Status)
+		}
 	}
 	if !equalReleases(cur.Synthetic("syn"), cur2.Synthetic("syn")) {
 		t.Fatal("restored curator serves a different release")

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -44,35 +43,14 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// WireMode selects the request encoding a client-side transport uses on the
-// endpoints that speak the binary frame protocol (presence, assignment
-// polls, reports).
-type WireMode int
-
-const (
-	// WireAuto (the default) starts on JSON and upgrades to binary frames
-	// once a response advertises X-Retrasyn-Wire support — so the same
-	// client works against old JSON-only curators and new binary-capable
-	// ones without configuration, and never wastes a request probing.
-	WireAuto WireMode = iota
-	// WireJSON forces JSON on every request.
-	WireJSON
-	// WireBinary forces binary frames on every framed endpoint without
-	// waiting for an advert (for servers known to be binary-capable).
-	WireBinary
-)
-
 // transport is the shared request machinery under Client, Gateway and
-// Coordinator: JSON or binary frames out, per-attempt timeouts, bounded
-// retries, and response bodies included in every non-2xx error.
+// Coordinator: JSON control-plane requests and binary frames out,
+// per-attempt timeouts, bounded retries, and response bodies included in
+// every non-2xx error.
 type transport struct {
 	baseURL string
 	http    *http.Client
 	policy  RetryPolicy
-	wire    WireMode
-	// binaryOK latches once any response carries the binary-wire advert;
-	// WireAuto switches to frames from the next framed request on.
-	binaryOK atomic.Bool
 }
 
 func newTransport(baseURL string, hc *http.Client) *transport {
@@ -82,45 +60,26 @@ func newTransport(baseURL string, hc *http.Client) *transport {
 	return &transport{baseURL: baseURL, http: hc}
 }
 
-// useBinary reports whether the next framed request should be binary.
-func (tr *transport) useBinary() bool {
-	switch tr.wire {
-	case WireBinary:
-		return true
-	case WireJSON:
-		return false
-	default:
-		return tr.binaryOK.Load()
-	}
-}
-
-// postJSON marshals body and POSTs it. Only idempotent POSTs (presence
-// announcements, batched assignment polls — requests the curator applies as
-// set-or-read operations) may retry.
-func (tr *transport) postJSON(path string, body any, idempotent bool, dst any) error {
+// postJSON marshals body and POSTs it to a control-plane endpoint (plan,
+// finalize). Both advance the round state machine, so the request gets
+// exactly one attempt.
+func (tr *transport) postJSON(path string, body any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	return tr.do(http.MethodPost, path, buf, "application/json", idempotent, dst)
+	return tr.do(http.MethodPost, path, buf, "application/json", false, nil)
 }
 
-// postWire POSTs to a framed endpoint, choosing the encoding by wire mode:
-// bin builds the binary frame lazily so the JSON path never pays for it.
-func (tr *transport) postWire(path string, jsonBody any, bin func() ([]byte, error), idempotent bool, dst any) error {
-	if bin != nil && tr.useBinary() {
-		frame, err := bin()
-		if err != nil {
-			return err
-		}
-		return tr.do(http.MethodPost, path, frame, WireContentType, idempotent, dst)
-	}
-	return tr.postJSON(path, jsonBody, idempotent, dst)
+// postFrame POSTs a binary frame to a framed endpoint. Only set-or-read
+// requests (presence announcements, assignment polls) may retry.
+func (tr *transport) postFrame(path string, frame []byte, idempotent bool, dst any) error {
+	return tr.do(http.MethodPost, path, frame, WireContentType, idempotent, dst)
 }
 
-// getJSON GETs path and decodes the response into dst (GETs are always
+// get GETs path and decodes the response into dst (GETs are always
 // idempotent).
-func (tr *transport) getJSON(path string, dst any) error {
+func (tr *transport) get(path string, dst any) error {
 	return tr.do(http.MethodGet, path, nil, "", true, dst)
 }
 
@@ -156,14 +115,6 @@ func (tr *transport) do(method, path string, body []byte, contentType string, id
 	return lastErr
 }
 
-// wireDecoder is implemented by response destinations that can decode both
-// wire encodings; attempt routes by the response's Content-Type, so a
-// JSON-only server may answer a binary request in JSON and still be
-// understood.
-type wireDecoder interface {
-	decodeWire(contentType string, r io.Reader) error
-}
-
 // attempt issues one request under its own deadline. The bool reports
 // whether the failure is worth retrying.
 func (tr *transport) attempt(method, path string, body []byte, contentType string, timeout time.Duration, dst any) (bool, error) {
@@ -179,19 +130,12 @@ func (tr *transport) attempt(method, path string, body []byte, contentType strin
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
-		if contentType == WireContentType {
-			// Ask for a binary response where one exists (assignments).
-			req.Header.Set("Accept", WireContentType)
-		}
 	}
 	resp, err := tr.http.Do(req)
 	if err != nil {
 		return true, fmt.Errorf("remote: %s %s: %w", method, path, err)
 	}
 	defer drain(resp)
-	if resp.Header.Get(wireAdvertHeader) == wireAdvertValue {
-		tr.binaryOK.Store(true)
-	}
 	if resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		err := fmt.Errorf("remote: %s %s → %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
@@ -200,10 +144,8 @@ func (tr *transport) attempt(method, path string, body []byte, contentType strin
 	if dst != nil {
 		var derr error
 		switch d := dst.(type) {
-		case wireDecoder:
-			derr = d.decodeWire(resp.Header.Get("Content-Type"), resp.Body)
 		case interface{ decodeFrom(io.Reader) error }:
-			derr = d.decodeFrom(resp.Body) // non-JSON endpoints (the synthetic CSV)
+			derr = d.decodeFrom(resp.Body) // non-JSON bodies: frames, the synthetic CSV
 		default:
 			derr = json.NewDecoder(resp.Body).Decode(dst)
 		}

@@ -78,8 +78,8 @@ func TestReportNeverRetried(t *testing.T) {
 	var reportCalls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case strings.HasPrefix(r.URL.Path, "/v1/assignment"):
-			fmt.Fprint(w, `{"report":true,"epsilon":1.0}`)
+		case r.URL.Path == "/v1/assignments":
+			w.Write(encodeAssignmentsRespFrame([]Assignment{{Report: true, Epsilon: 1}}))
 		case r.URL.Path == "/v1/report":
 			reportCalls.Add(1)
 			http.Error(w, "aggregator overloaded", http.StatusInternalServerError)
@@ -133,7 +133,7 @@ func TestGETErrorsIncludeBody(t *testing.T) {
 	}
 	co := NewCoordinator(srv.URL, nil)
 	co.SetRetryPolicy(fastPolicy())
-	if _, _, err := co.Synthetic(); err == nil || !strings.Contains(err.Error(), "no open round") {
+	if _, err := co.Synthetic(); err == nil || !strings.Contains(err.Error(), "no open round") {
 		t.Fatalf("synthetic-fetch error %v does not include the response body", err)
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"retrasyn/internal/ldp"
 )
 
-// Binary wire protocol ("application/x-retrasyn"), version 1 — the compact
-// encoding of the report hot path. JSON carries every packed report as
-// base64 (×1.33 inflation) wrapped in per-entry field framing; the binary
-// frame carries the raw ⌈d/8⌉ report bytes plus a varint user ID, which is
-// as small as an LDP report can get without entropy coding (and the report
-// *is* near-uniform noise by design — see the README's wire-format section
-// for why it cannot be compressed below its randomness).
+// Binary wire protocol ("application/x-retrasyn"), version 1 — the only
+// encoding of the report hot path. A binary frame carries the raw ⌈d/8⌉
+// report bytes plus a varint user ID, which is as small as an LDP report can
+// get without entropy coding (and the report *is* near-uniform noise by
+// design — see the README's wire-format section for why it cannot be
+// compressed below its randomness).
 //
 // Every binary request body is exactly one length-prefixed frame:
 //
@@ -28,30 +27,18 @@ import (
 // All integers inside payloads are unsigned LEB128 varints
 // (encoding/binary Uvarint) unless stated otherwise; ε rides as 8 raw
 // little-endian IEEE-754 bytes. Decoders are strict: bad magic, unknown
-// versions or kinds, payload lengths that disagree with the body, trailing
-// bytes, truncated varints and values beyond 2³¹−1 are all clean errors —
-// never panics — and a rejected frame leaves the curator's open round
-// untouched (all-or-nothing, like the JSON paths).
+// versions, kinds or report forms, payload lengths that disagree with the
+// body, trailing bytes, truncated varints and values beyond 2³¹−1 are all
+// clean errors — never panics — and a rejected frame leaves the curator's
+// open round untouched (all-or-nothing).
 //
-// Negotiation is advertise-and-upgrade, so no request is ever wasted on
-// probing: every response from a binary-capable curator carries the
-// X-Retrasyn-Wire header; a WireAuto transport starts on JSON and switches
-// to frames once it has seen the advert. Against a JSON-only server the
-// advert never appears and the transport simply stays on JSON. Binary
-// requests set Accept so the server answers in kind; responses are
-// self-describing via Content-Type, so a mixed deployment can answer a
-// binary request with JSON and the client still decodes it.
+// The presence, assignments and report endpoints accept nothing else: a
+// request with another Content-Type gets 415, and the assignments response
+// is always an assignments-response frame.
 
 const (
-	// WireContentType negotiates the binary frame protocol: requests carrying
-	// it as Content-Type are parsed as frames, and requests carrying it in
-	// Accept get frame responses where a binary encoding exists.
+	// WireContentType is the Content-Type of every binary frame.
 	WireContentType = "application/x-retrasyn"
-
-	// wireAdvertHeader/Value: every response from a binary-capable curator
-	// advertises support, so clients upgrade without a probe request.
-	wireAdvertHeader = "X-Retrasyn-Wire"
-	wireAdvertValue  = "v1"
 
 	wireVersion   = 1
 	wireHeaderLen = 8
@@ -72,11 +59,11 @@ const (
 	frameKindReport
 )
 
-// Report payload forms.
+// Report payload forms. Form 0, one device's report, is retired: a device
+// ships a one-entry batch, and a form-0 frame is an unknown form.
 const (
-	reportFormSingle byte = iota // one user's sparse report
-	reportFormSparse             // a gateway's sparse batch
-	reportFormPacked             // a gateway's bit-packed batch (the hot path)
+	reportFormSparse byte = 1 // a sparse batch
+	reportFormPacked byte = 2 // a bit-packed batch (the hot path)
 )
 
 // finishFrame prepends the frame header to a payload.
@@ -248,8 +235,9 @@ func (r *wireReader) ones() ([]int, error) {
 	return ones, nil
 }
 
-// encodePresenceFrame builds the presence announce for one or many users.
-func encodePresenceFrame(t int, users []int) ([]byte, error) {
+// encodeUsersFrame builds a presence announce or an assignment poll: the
+// two request kinds share the payload t + user-ID list.
+func encodeUsersFrame(kind byte, t int, users []int) ([]byte, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("remote: timestamp %d is negative and cannot ride the binary wire", t)
 	}
@@ -258,34 +246,10 @@ func encodePresenceFrame(t int, users []int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishFrame(frameKindPresence, payload), nil
+	return finishFrame(kind, payload), nil
 }
 
-func decodePresencePayload(p []byte) (t int, users []int, err error) {
-	r := &wireReader{p: p}
-	if t, err = r.uvarint(); err != nil {
-		return 0, nil, err
-	}
-	if users, err = r.users(); err != nil {
-		return 0, nil, err
-	}
-	return t, users, r.finish()
-}
-
-// encodeAssignmentsFrame builds the batched assignment poll.
-func encodeAssignmentsFrame(t int, users []int) ([]byte, error) {
-	if t < 0 {
-		return nil, fmt.Errorf("remote: timestamp %d is negative and cannot ride the binary wire", t)
-	}
-	payload := binary.AppendUvarint(nil, uint64(t))
-	payload, err := appendUsers(payload, users)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(frameKindAssignments, payload), nil
-}
-
-func decodeAssignmentsPayload(p []byte) (t int, users []int, err error) {
+func decodeUsersPayload(p []byte) (t int, users []int, err error) {
 	r := &wireReader{p: p}
 	if t, err = r.uvarint(); err != nil {
 		return 0, nil, err
@@ -338,22 +302,6 @@ func decodeAssignmentsRespPayload(p []byte) ([]Assignment, error) {
 		}
 	}
 	return as, r.finish()
-}
-
-// EncodeSingleReportFrame builds the binary form of one device's sparse
-// report — the frame a non-batching client ships when the round is sparse.
-func EncodeSingleReportFrame(t, user int, ones []int) ([]byte, error) {
-	if t < 0 || user < 0 {
-		return nil, fmt.Errorf("remote: timestamp %d / user %d cannot ride the binary wire", t, user)
-	}
-	payload := binary.AppendUvarint(nil, uint64(t))
-	payload = append(payload, reportFormSingle)
-	payload = binary.AppendUvarint(payload, uint64(user))
-	payload, err := appendOnes(payload, ones)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(frameKindReport, payload), nil
 }
 
 // EncodeSparseReportFrame builds the binary form of a gateway's sparse
@@ -416,9 +364,6 @@ type reportFrame struct {
 	t    int
 	form byte
 
-	user int   // reportFormSingle
-	ones []int // reportFormSingle
-
 	batch []BatchReport // reportFormSparse
 
 	d     int      // reportFormPacked: sender's domain size
@@ -437,13 +382,6 @@ func decodeReportPayload(p []byte) (*reportFrame, error) {
 		return nil, err
 	}
 	switch rf.form {
-	case reportFormSingle:
-		if rf.user, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if rf.ones, err = r.ones(); err != nil {
-			return nil, err
-		}
 	case reportFormSparse:
 		n, err := r.uvarint()
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 
 	"retrasyn/internal/ldp"
@@ -15,7 +14,7 @@ import (
 
 func TestPresenceFrameRoundTrip(t *testing.T) {
 	users := []int{0, 7, 7, 300000, 12}
-	frame, err := encodePresenceFrame(42, users)
+	frame, err := encodeUsersFrame(frameKindPresence, 42, users)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,7 @@ func TestPresenceFrameRoundTrip(t *testing.T) {
 	if kind != frameKindPresence {
 		t.Fatalf("kind = %d, want %d", kind, frameKindPresence)
 	}
-	ts, got, err := decodePresencePayload(payload)
+	ts, got, err := decodeUsersPayload(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,24 +52,25 @@ func TestAssignmentsRespFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportFrameRoundTrips covers all three report forms, including a
-// domain whose size is not a multiple of 8 (partial final byte) and
-// unsorted sparse indices with a duplicate — the delta encoding must
-// preserve the multiset even though it reorders.
+// TestReportFrameRoundTrips covers both report forms — a device's
+// one-entry batch among them — including a domain whose size is not a
+// multiple of 8 (partial final byte) and unsorted sparse indices with a
+// duplicate: the delta encoding must preserve the multiset even though it
+// reorders.
 func TestReportFrameRoundTrips(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		ones := []int{100, 3, 17, 3, 250000}
-		frame, err := EncodeSingleReportFrame(9, 31, ones)
+		frame, err := EncodeSparseReportFrame(9, []BatchReport{{User: 31, Ones: ones}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rf := mustDecodeReport(t, frame)
-		if rf.form != reportFormSingle || rf.t != 9 || rf.user != 31 {
+		if rf.form != reportFormSparse || rf.t != 9 || len(rf.batch) != 1 || rf.batch[0].User != 31 {
 			t.Fatalf("decoded %+v", rf)
 		}
 		want := []int{3, 3, 17, 100, 250000} // sorted, duplicate kept
-		if !reflect.DeepEqual(rf.ones, want) {
-			t.Fatalf("ones = %v, want %v", rf.ones, want)
+		if !reflect.DeepEqual(rf.batch[0].Ones, want) {
+			t.Fatalf("ones = %v, want %v", rf.batch[0].Ones, want)
 		}
 	})
 	t.Run("sparse", func(t *testing.T) {
@@ -139,7 +139,7 @@ func mustDecodeReport(t *testing.T, frame []byte) *reportFrame {
 
 // TestDecodeFrameRejects: every malformed header shape is a clean error.
 func TestDecodeFrameRejects(t *testing.T) {
-	good, err := EncodeSingleReportFrame(1, 2, []int{3})
+	good, err := EncodeSparseReportFrame(1, []BatchReport{{User: 2, Ones: []int{3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +175,17 @@ func TestDecodeReportPayloadRejects(t *testing.T) {
 		"missing form":    uv(3),
 		"unknown form":    build(uv(3), []byte{9}),
 		"huge user count": build(uv(3), []byte{reportFormSparse}, uv(1<<30)),
-		"huge ones count": build(uv(3), []byte{reportFormSingle}, uv(7), uv(1<<30)),
-		"overflow varint": build(uv(3), []byte{reportFormSingle}, uv(7), uv(1), uv(math.MaxUint64>>1)),
+		"huge ones count": build(uv(3), []byte{reportFormSparse}, uv(1), uv(7), uv(1<<30)),
+		"overflow varint": build(uv(3), []byte{reportFormSparse}, uv(1), uv(7), uv(1), uv(math.MaxUint64>>1)),
 		"zero domain":     build(uv(3), []byte{reportFormPacked}, uv(0)),
 		"packed count lies": build(uv(3), []byte{reportFormPacked}, uv(64),
 			uv(1000), uv(1), []byte{0xff}),
 		"packed row truncated": build(uv(3), []byte{reportFormPacked}, uv(64),
 			uv(1), uv(1), []byte{0xff, 0xff}),
-		"delta chain overflow": build(uv(3), []byte{reportFormSingle}, uv(7),
+		"delta chain overflow": build(uv(3), []byte{reportFormSparse}, uv(1), uv(7),
 			uv(3), uv(math.MaxInt32), uv(math.MaxInt32), uv(2)),
+		// A well-formed single-report payload of the retired form 0.
+		"retired form 0": build(uv(3), []byte{0}, uv(7), uv(1), uv(0)),
 	}
 	for name, payload := range cases {
 		if _, err := decodeReportPayload(payload); err == nil {
@@ -208,7 +210,7 @@ func TestMalformedBinaryFramesLeaveRoundIntact(t *testing.T) {
 	sampled := driveRound(t, cur, 0, users)
 	d := cur.DomainSize()
 
-	good, err := EncodeSingleReportFrame(0, 99, []int{0})
+	good, err := EncodeSparseReportFrame(0, []BatchReport{{User: 99, Ones: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +272,10 @@ func TestMalformedBinaryFramesLeaveRoundIntact(t *testing.T) {
 // re-encodes of whatever decodes must round-trip. Seeds cover truncation,
 // length lies and version skew around real frames.
 func FuzzBinaryFrame(f *testing.F) {
-	presence, _ := encodePresenceFrame(3, []int{1, 2, 900})
-	assign, _ := encodeAssignmentsFrame(3, []int{1, 2})
+	presence, _ := encodeUsersFrame(frameKindPresence, 3, []int{1, 2, 900})
+	assign, _ := encodeUsersFrame(frameKindAssignments, 3, []int{1, 2})
 	resp := encodeAssignmentsRespFrame([]Assignment{{Report: true, Epsilon: 0.5}, {}})
-	single, _ := EncodeSingleReportFrame(7, 1, []int{0, 5, 2})
+	single, _ := EncodeSparseReportFrame(7, []BatchReport{{User: 1, Ones: []int{0, 5, 2}}})
 	sparse, _ := EncodeSparseReportFrame(7, []BatchReport{{User: 1, Ones: []int{3}}})
 	packed, _ := EncodePackedReportFrame(7, 12, []PackedBatchReport{{User: 1, Bits: []byte{0xff, 0x0f}}})
 	for _, seed := range [][]byte{presence, assign, resp, single, sparse, packed} {
@@ -294,10 +296,8 @@ func FuzzBinaryFrame(f *testing.F) {
 			return
 		}
 		switch kind {
-		case frameKindPresence:
-			decodePresencePayload(payload)
-		case frameKindAssignments:
-			decodeAssignmentsPayload(payload)
+		case frameKindPresence, frameKindAssignments:
+			decodeUsersPayload(payload)
 		case frameKindAssignmentsResp:
 			if as, err := decodeAssignmentsRespPayload(payload); err == nil {
 				if !bytes.Equal(encodeAssignmentsRespFrame(as), data) {
@@ -321,7 +321,6 @@ func TestStatsReportsWireBytes(t *testing.T) {
 	defer srv.Close()
 
 	gw := NewGateway(srv.URL, nil)
-	gw.SetWire(WireBinary)
 	gw.SetRetryPolicy(fastPolicy())
 	users := []int{1, 2, 3}
 	if err := gw.AnnouncePresence(users, 0); err != nil {
@@ -356,24 +355,5 @@ func TestStatsReportsWireBytes(t *testing.T) {
 	}
 	if stats := st.Wire["/v1/stats"]; stats.BytesOut == 0 {
 		t.Fatalf("stats endpoint did not account its own response: %+v", st.Wire)
-	}
-}
-
-// TestBinaryAdvertOnEveryResponse: negotiation depends on the advert being
-// unconditional, including on error responses.
-func TestBinaryAdvertOnEveryResponse(t *testing.T) {
-	cur, err := NewCurator(testConfig(testGrid()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHandler(cur))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/report", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(wireAdvertHeader); got != wireAdvertValue {
-		t.Fatalf("%s = %q on an error response, want %q", wireAdvertHeader, got, wireAdvertValue)
 	}
 }
