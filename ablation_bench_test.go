@@ -1,9 +1,8 @@
 package retrasyn
 
-// Ablation benches for three design choices: the
-// frequency-oracle protocol (the paper picks OUE), consistency
-// post-processing of the estimates (the paper uses raw estimates), and the
-// parallel synthesis path (§VII future work). Utility ablations report the
+// Ablation benches for two design choices: consistency post-processing of
+// the estimates (the paper uses raw estimates) and the parallel synthesis
+// path (§VII future work). Utility ablations report the
 // resulting query error / density error as custom benchmark metrics so a
 // single `go test -bench=Ablation` run shows the utility-vs-cost trade-off.
 
@@ -48,32 +47,6 @@ func runEngineAblation(b *testing.B, orig *Dataset, g *Grid, mutate func(*core.O
 	}
 	syn, _ := e.Run(trajectory.NewStream(orig), "syn")
 	return metrics.Evaluate(orig, syn, g, metrics.Options{Seed: 5})
-}
-
-// BenchmarkAblationOracleOUE / OLH / GRR compare the three frequency
-// oracles end-to-end: ns/op is the whole run, and the reported
-// queryerr/densityerr metrics show why the paper picks OUE over GRR (GRR's
-// variance grows with the ~9|C| domain).
-func BenchmarkAblationOracleOUE(b *testing.B) { benchOracle(b, core.OracleOUE) }
-
-// BenchmarkAblationOracleOLH benchmarks the OLH oracle end-to-end.
-func BenchmarkAblationOracleOLH(b *testing.B) { benchOracle(b, core.OracleOLH) }
-
-// BenchmarkAblationOracleGRR benchmarks the GRR oracle end-to-end.
-func BenchmarkAblationOracleGRR(b *testing.B) { benchOracle(b, core.OracleGRR) }
-
-func benchOracle(b *testing.B, kind core.OracleKind) {
-	orig, g := ablationData(b)
-	var r metrics.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = runEngineAblation(b, orig, g, func(o *core.Options) {
-			o.Oracle = kind
-			o.OracleMode = core.PerUser
-		})
-	}
-	b.ReportMetric(r.QueryError, "queryerr")
-	b.ReportMetric(r.DensityError, "densityerr")
 }
 
 // BenchmarkAblationPostProcess sweeps the consistency post-processing

@@ -1,9 +1,9 @@
 package retrasyn
 
 // Benchmarks of the curator aggregation hot path: the sequential sparse
-// fold, the sharded sparse fold, the bit-packed word-parallel fold
-// (carry-save popcount network), and the OLH support scan — plus the
-// multi-shard Coordinator against a single pipeline instance. Run with
+// fold, the sharded sparse fold and the bit-packed word-parallel fold
+// (carry-save popcount network) — plus the multi-shard Coordinator against a
+// single pipeline instance. Run with
 //
 //	go test -bench 'Aggregation|Coordinator' -run - .
 //
@@ -28,13 +28,11 @@ import (
 )
 
 // benchReports is one paper-scale OUE round: 100k reporters over the K=6
-// transition domain (|S| = 328). benchOLHReports is smaller because each
-// OLH report costs an O(|S|) support scan on the server.
+// transition domain (|S| = 328).
 const (
-	benchReports    = 100_000
-	benchOLHReports = 20_000
-	benchDomain     = 328
-	benchEpsilon    = 1.0
+	benchReports = 100_000
+	benchDomain  = 328
+	benchEpsilon = 1.0
 )
 
 var benchRound struct {
@@ -42,8 +40,6 @@ var benchRound struct {
 	oracle  *ldp.OUE
 	reports [][]int
 	packed  *ldp.PackedBatch
-	olh     *ldp.OLH
-	olhReps []ldp.OLHReport
 }
 
 func benchRoundOnce() *ldp.OUE {
@@ -61,12 +57,6 @@ func benchRoundOnce() *ldp.OUE {
 				panic(err)
 			}
 			benchRound.packed.Append(p)
-		}
-		benchRound.olh = ldp.MustOLH(benchDomain, benchEpsilon)
-		src := ldp.NewSource(3, 4)
-		benchRound.olhReps = make([]ldp.OLHReport, benchOLHReports)
-		for i := range benchRound.olhReps {
-			benchRound.olhReps[i] = benchRound.olh.Perturb(src, src, i%benchDomain)
 		}
 	})
 	return benchRound.oracle
@@ -94,17 +84,6 @@ func runOUEPacked(b *testing.B, workers int) {
 	}
 }
 
-func runOLH(b *testing.B, workers int) {
-	benchRoundOnce()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := ldp.NewOLHAggregator(benchRound.olh)
-		agg.AddReports(benchRound.olhReps, workers)
-		agg.EstimateAll()
-	}
-}
-
 // BenchmarkOUEAggregationSequential folds one 100k-report round with the
 // sequential per-report sparse loop the monolithic engine used.
 func BenchmarkOUEAggregationSequential(b *testing.B) { runOUESparse(b, 1) }
@@ -116,14 +95,6 @@ func BenchmarkOUEAggregationSharded(b *testing.B) { runOUESparse(b, runtime.NumC
 // BenchmarkOUEAggregationPacked folds the same round bit-packed through the
 // word-parallel carry-save popcount network.
 func BenchmarkOUEAggregationPacked(b *testing.B) { runOUEPacked(b, runtime.NumCPU()) }
-
-// BenchmarkOLHAggregationSequential runs the O(|S|)-per-report OLH support
-// scan one report at a time.
-func BenchmarkOLHAggregationSequential(b *testing.B) { runOLH(b, 1) }
-
-// BenchmarkOLHAggregationSharded shards the OLH support scan across
-// runtime.NumCPU() workers.
-func BenchmarkOLHAggregationSharded(b *testing.B) { runOLH(b, runtime.NumCPU()) }
 
 // benchCoordinatorData caches the coordinator benchmark's input stream.
 var benchCoordinatorData struct {
@@ -267,18 +238,6 @@ func TestEmitBenchPipelineJSON(t *testing.T) {
 		if packed.ReportsSec > bestPacked.ReportsSec {
 			bestPacked = packed
 		}
-	}
-
-	olhSeq := measure("OLHAggregationSequential/20k-reports", 1, 1, benchOLHReports, func(b *testing.B) { runOLH(b, 1) })
-	results = append(results, olhSeq)
-	for _, l := range levels {
-		if l == 1 {
-			continue
-		}
-		l := l
-		olhSharded := measure("OLHAggregationSharded/20k-reports", l, l, benchOLHReports, func(b *testing.B) { runOLH(b, l) })
-		rel(&olhSharded, olhSeq)
-		results = append(results, olhSharded)
 	}
 
 	nCPU := runtime.NumCPU()

@@ -94,21 +94,34 @@ func main() {
 		return
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+	if *out == "" {
+		if err := trajectory.WriteRaw(os.Stdout, raw); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w = f
+		return
 	}
-	if err := trajectory.WriteRaw(w, raw); err != nil {
+	if err := writeRaw(*out, raw); err != nil {
 		fatal(err)
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d streams (%d points) to %s\n", len(raw.Trajs), raw.NumPoints(), *out)
+	fmt.Fprintf(os.Stderr, "wrote %d streams (%d points) to %s\n", len(raw.Trajs), raw.NumPoints(), *out)
+}
+
+// writeRaw writes d to path as raw-trajectory CSV. A file that fails to
+// close may not be on disk, so the Close error is returned too; every
+// error names the path.
+func writeRaw(path string, d *retrasyn.RawDataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := trajectory.WriteRaw(f, d); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", path, err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -200,16 +200,29 @@ func main() {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := trajectory.WriteCells(f, syn); err != nil {
+		if err := writeCells(*out, syn); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote synthetic streams to %s\n", *out)
 	}
+}
+
+// writeCells writes d to path as cell-stream CSV. A file that fails to
+// close may not be on disk, so the Close error is returned too; every
+// error names the path.
+func writeCells(path string, d *retrasyn.Dataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trajectory.WriteCells(f, d); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", path, err)
+	}
+	return nil
 }
 
 // validateFlags rejects unusable flag combinations up front with errors

@@ -42,40 +42,9 @@ const (
 	// Aggregate samples the aggregate count vector directly, in O(d) exact
 	// binomial draws per round: statistically identical to PerUser (pinned
 	// by ldp's TestBinomialChiSquare; see ldp.AggregateOracle), though not
-	// the same stream. Use for paper-scale populations. Only available for
-	// the OUE oracle.
+	// the same stream. Use for paper-scale populations.
 	Aggregate
 )
-
-// OracleKind selects the frequency-oracle protocol users run.
-type OracleKind int
-
-const (
-	// OracleOUE is Optimized Unary Encoding, the paper's choice (optimal
-	// variance; |S|-bit reports).
-	OracleOUE OracleKind = iota
-	// OracleOLH is Optimized Local Hashing (matching variance, O(1)-size
-	// reports, O(|S|) server work per report) — the frequency-oracle
-	// ablation.
-	OracleOLH
-	// OracleGRR is Generalized Randomized Response (variance grows with
-	// |S|; included to demonstrate why the paper avoids it).
-	OracleGRR
-)
-
-// String implements fmt.Stringer.
-func (k OracleKind) String() string {
-	switch k {
-	case OracleOUE:
-		return "OUE"
-	case OracleOLH:
-		return "OLH"
-	case OracleGRR:
-		return "GRR"
-	default:
-		return fmt.Sprintf("OracleKind(%d)", int(k))
-	}
-}
 
 // Options configures an Engine.
 type Options struct {
@@ -104,9 +73,6 @@ type Options struct {
 	DisableEQ bool
 	// OracleMode selects the collection simulation path.
 	OracleMode OracleMode
-	// Oracle selects the frequency-oracle protocol (default OUE, the
-	// paper's choice).
-	Oracle OracleKind
 	// PostProcess optionally projects each round's estimates toward the
 	// probability simplex before they feed the DMU and the model — a
 	// privacy-free extension (Theorem 2) evaluated by the post-processing
@@ -116,11 +82,6 @@ type Options struct {
 	// synthesis across that many goroutines (the paper §VII's future-work
 	// acceleration). Default 1 (sequential, matching the paper).
 	SynthesisWorkers int
-	// AggregationWorkers shards the curator-side report-aggregation fold of
-	// the per-user paths across that many goroutines; the fold is exactly
-	// order-independent, so the estimates are unchanged. Default
-	// runtime.NumCPU(); 1 forces the sequential fold.
-	AggregationWorkers int
 	// Seed drives all engine randomness; equal seeds reproduce runs exactly.
 	Seed uint64
 	// Metrics, when non-nil, receives pipeline stage-latency histograms,
@@ -152,12 +113,6 @@ func (o *Options) defaults() error {
 	}
 	if !o.DisableEQ && !(o.Lambda > 0) {
 		return fmt.Errorf("core: Lambda must be > 0, got %v", o.Lambda)
-	}
-	if o.OracleMode == Aggregate && o.Oracle != OracleOUE {
-		return fmt.Errorf("core: the aggregate simulation path supports only the OUE oracle, not %v", o.Oracle)
-	}
-	if o.AggregationWorkers == 0 {
-		o.AggregationWorkers = ldp.DefaultWorkers()
 	}
 	return nil
 }
@@ -290,18 +245,12 @@ func (o *Options) domainOver(sp spatial.Discretizer) *transition.Domain {
 	return transition.NewDomain(sp)
 }
 
-// newCollector picks the collection stage for the configured oracle.
+// newCollector picks the OUE collection stage for the configured mode.
 func newCollector(opts Options, dom *transition.Domain, rng ldp.Rand) pipeline.Collector {
-	switch {
-	case opts.Oracle == OracleOLH:
-		return &pipeline.OLHCollector{Dom: dom, Rng: rng, Workers: opts.AggregationWorkers}
-	case opts.Oracle == OracleGRR:
-		return &pipeline.GRRCollector{Dom: dom, Rng: rng}
-	case opts.OracleMode == Aggregate:
+	if opts.OracleMode == Aggregate {
 		return &pipeline.OUEAggregateCollector{Dom: dom, Rng: rng}
-	default:
-		return &pipeline.OUEPerUserCollector{Dom: dom, Rng: rng, Workers: opts.AggregationWorkers}
 	}
+	return &pipeline.OUEPerUserCollector{Dom: dom, Rng: rng, Workers: ldp.DefaultWorkers()}
 }
 
 // Domain exposes the engine's transition domain (for tests and tooling).

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"retrasyn/internal/allocation"
@@ -55,7 +56,8 @@ func goldenRun(t *testing.T, mutate func(*Options)) uint64 {
 
 // goldenCases enumerates the engine configurations pinned by the golden
 // hashes; the snapshot round-trip test reuses them so checkpoint/restore is
-// proven bit-identical for every oracle, division and ablation path.
+// proven bit-identical for both oracle modes, both divisions and every
+// ablation path.
 func goldenCases() []struct {
 	name   string
 	mutate func(*Options)
@@ -83,14 +85,6 @@ func goldenCases() []struct {
 			o.DisableEQ = true
 			o.Lambda = 0
 		}, 0x596050d5febcdc06},
-		{"olh", func(o *Options) {
-			o.OracleMode = PerUser
-			o.Oracle = OracleOLH
-		}, 0x294dbd3314263d28},
-		{"grr", func(o *Options) {
-			o.OracleMode = PerUser
-			o.Oracle = OracleGRR
-		}, 0xe924526e54acd11},
 	}
 }
 
@@ -197,5 +191,34 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	e3, _ := New(opts)
 	if err := e3.Restore(st); err == nil {
 		t.Fatal("restore of future snapshot version accepted")
+	}
+}
+
+// TestSnapshotRetiredOracleRejected pins the retired ConfigFingerprint.Oracle
+// guard: a checkpoint written by an OLH (1) or GRR (2) engine must not
+// restore into an engine, which collects with OUE only.
+func TestSnapshotRetiredOracleRejected(t *testing.T) {
+	opts := defaultOpts(allocation.Population)
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Config.Oracle != 0 {
+		t.Fatalf("snapshot oracle = %d, want 0", st.Config.Oracle)
+	}
+	for _, retired := range []int{1, 2} {
+		st.Config.Oracle = retired
+		e2, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e2.Restore(st)
+		if err == nil || !strings.Contains(err.Error(), "does not match engine config") {
+			t.Fatalf("oracle %d: Restore error = %v, want config mismatch", retired, err)
+		}
 	}
 }

@@ -8,66 +8,6 @@ import (
 	"retrasyn/internal/trajectory"
 )
 
-func TestOracleKindString(t *testing.T) {
-	tests := []struct {
-		k    OracleKind
-		want string
-	}{
-		{OracleOUE, "OUE"}, {OracleOLH, "OLH"}, {OracleGRR, "GRR"},
-		{OracleKind(9), "OracleKind(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.k.String(); got != tt.want {
-			t.Errorf("String = %q, want %q", got, tt.want)
-		}
-	}
-}
-
-func TestAggregateModeRequiresOUE(t *testing.T) {
-	opts := defaultOpts(allocation.Population)
-	opts.OracleMode = Aggregate
-	opts.Oracle = OracleOLH
-	if _, err := New(opts); err == nil {
-		t.Fatal("aggregate + OLH accepted")
-	}
-	opts.Oracle = OracleGRR
-	if _, err := New(opts); err == nil {
-		t.Fatal("aggregate + GRR accepted")
-	}
-	opts.Oracle = OracleOUE
-	if _, err := New(opts); err != nil {
-		t.Fatalf("aggregate + OUE rejected: %v", err)
-	}
-}
-
-func TestEngineRunsWithEveryOracle(t *testing.T) {
-	g := testGrid()
-	data := walkDataset(g, 300, 30, 8, 61)
-	stream := trajectory.NewStream(data)
-	for _, kind := range []OracleKind{OracleOUE, OracleOLH, OracleGRR} {
-		t.Run(kind.String(), func(t *testing.T) {
-			opts := defaultOpts(allocation.Population)
-			opts.Oracle = kind
-			opts.OracleMode = PerUser
-			e, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syn, stats := e.Run(stream, "syn")
-			if err := syn.Validate(g, true); err != nil {
-				t.Fatalf("invalid output: %v", err)
-			}
-			if stats.Rounds == 0 {
-				t.Fatal("no rounds")
-			}
-			// Per-user oracles must record user-side work.
-			if stats.Timings.UserSide <= 0 {
-				t.Fatal("no user-side timing recorded")
-			}
-		})
-	}
-}
-
 func TestEngineRunsWithEveryPostProcess(t *testing.T) {
 	g := testGrid()
 	data := walkDataset(g, 300, 30, 8, 67)

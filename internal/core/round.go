@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"retrasyn/internal/allocation"
+	"retrasyn/internal/ldp"
 	"retrasyn/internal/pipeline"
 	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
@@ -30,10 +31,10 @@ type OpenRound struct {
 
 // Collected is what the driver gathered between Plan and Close.
 type Collected struct {
-	// Aggregate is the round's raw frequency-oracle aggregate and ErrUpd its
-	// per-state variance (the err_upd of Eq. 7); both are ignored when
-	// Reporters is empty.
-	Aggregate pipeline.Aggregate
+	// Aggregate is the round's raw OUE aggregate and ErrUpd its per-state
+	// variance (the err_upd of Eq. 7); both are ignored when Reporters is
+	// empty.
+	Aggregate *ldp.Aggregator
 	ErrUpd    float64
 	// Reporters are the users whose report was actually folded into
 	// Aggregate. Sampled users missing here stay active and unspent.

@@ -29,7 +29,9 @@ const EngineStateVersion = 1
 // ConfigFingerprint captures the Options fields that determine the engine's
 // randomness stream and domain layout. Restoring a snapshot into an engine
 // whose fingerprint differs would silently corrupt releases, so Restore
-// requires an exact match.
+// requires an exact match. Oracle named the frequency oracle when the engine
+// could run OLH or GRR; engines now collect with OUE only and always write 0,
+// so a checkpoint from an OLH or GRR engine is rejected, not restored.
 type ConfigFingerprint struct {
 	// Discretizer is the stable layout fingerprint of the spatial backend
 	// (spatial.Discretizer.Fingerprint). Checkpoints written before the
@@ -46,7 +48,7 @@ type ConfigFingerprint struct {
 	DisableDMU   bool    `json:"disable_dmu"`
 	DisableEQ    bool    `json:"disable_eq"`
 	OracleMode   int     `json:"oracle_mode"`
-	Oracle       int     `json:"oracle"`
+	Oracle       int     `json:"oracle"` // retired: 1 = OLH, 2 = GRR; always 0
 	SynthWorkers int     `json:"synth_workers"`
 	Seed         uint64  `json:"seed"`
 }
@@ -70,7 +72,6 @@ func (e *Engine) configFingerprint() ConfigFingerprint {
 		DisableDMU:   e.opts.DisableDMU,
 		DisableEQ:    e.opts.DisableEQ,
 		OracleMode:   int(e.opts.OracleMode),
-		Oracle:       int(e.opts.Oracle),
 		SynthWorkers: e.opts.SynthesisWorkers,
 		Seed:         e.opts.Seed,
 	}

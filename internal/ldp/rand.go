@@ -1,9 +1,8 @@
 // Package ldp implements the local differential privacy primitives RetraSyn
 // builds on (paper §II-A): the Optimized Unary Encoding (OUE) frequency
 // oracle with faithful per-user perturbation and unbiased curator-side
-// aggregation, a Generalized Randomized Response oracle for comparison, and
-// an exact aggregate-level sampler used to simulate large user populations
-// efficiently.
+// aggregation, and an exact aggregate-level sampler used to simulate large
+// user populations efficiently.
 package ldp
 
 import (

@@ -13,18 +13,18 @@ import (
 // |S|-bit reports per round, which is the curator's aggregation hot path.
 
 // shardMinReports is the round size below which spawning workers costs more
-// than the fold itself. OLH's per-report work is O(domain), so its threshold
-// is far lower; the packed fold's per-report work is so small (a handful of
-// ALU ops per word) that sharding only pays for much larger rounds.
+// than the fold itself. The packed fold's per-report work is so small (a
+// handful of ALU ops per word) that sharding only pays for much larger
+// rounds.
 const (
 	shardMinReports       = 2048
-	shardMinOLHReports    = 128
 	shardMinPackedReports = 1 << 14
 )
 
-// DefaultWorkers is the worker count the engine uses for sharded
-// aggregation: one per CPU.
-func DefaultWorkers() int { return runtime.NumCPU() }
+// DefaultWorkers is the worker count the engine and the curator use for
+// sharded aggregation: one per CPU the Go scheduler may run on
+// (GOMAXPROCS), so a process CPU limit caps the fold's parallelism too.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // shardBounds splits n items into at most workers contiguous chunks and
 // returns the chunk boundaries (len = chunks+1).
@@ -116,37 +116,4 @@ func (a *Aggregator) AddPackedBatch(b *PackedBatch, workers int) {
 		}
 	}
 	a.n += n
-}
-
-// AddReports folds many OLH reports, sharding the O(domain)-per-report
-// support counting across up to workers goroutines. Identical to calling Add
-// for every report in order.
-func (a *OLHAggregator) AddReports(reports []OLHReport, workers int) {
-	if workers <= 1 || len(reports) < shardMinOLHReports {
-		for _, r := range reports {
-			a.Add(r)
-		}
-		return
-	}
-	bounds := shardBounds(len(reports), workers)
-	shards := make([][]int, len(bounds)-1)
-	var wg sync.WaitGroup
-	for w := 0; w < len(bounds)-1; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			support := make([]int, len(a.support))
-			for _, r := range reports[bounds[w]:bounds[w+1]] {
-				a.oracle.supportScan(r, a.premix, support)
-			}
-			shards[w] = support
-		}(w)
-	}
-	wg.Wait()
-	for _, support := range shards {
-		for i, s := range support {
-			a.support[i] += s
-		}
-	}
-	a.n += len(reports)
 }

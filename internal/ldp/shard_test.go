@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -65,33 +66,6 @@ func TestAddReportsAccumulates(t *testing.T) {
 	}
 }
 
-func TestOLHAddReportsMatchesSequential(t *testing.T) {
-	oracle := MustOLH(64, 1.0)
-	rng := NewRand(19, 23)
-	seedSrc := NewRand(29, 31)
-	reports := make([]OLHReport, 4*shardMinOLHReports)
-	for i := range reports {
-		reports[i] = oracle.Perturb(rng, seedSrc, i%64)
-	}
-	seq := NewOLHAggregator(oracle)
-	for _, r := range reports {
-		seq.Add(r)
-	}
-	for _, workers := range []int{2, 7, 32} {
-		par := NewOLHAggregator(oracle)
-		par.AddReports(reports, workers)
-		if par.N() != seq.N() {
-			t.Fatalf("workers=%d: N=%d, want %d", workers, par.N(), seq.N())
-		}
-		got, want := par.EstimateAll(), seq.EstimateAll()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: estimate[%d]=%v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestShardBounds(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{10, 3}, {1, 8}, {2048, 16}, {100, 100}, {101, 7},
@@ -113,5 +87,13 @@ func TestShardBounds(t *testing.T) {
 		if len(bounds)-1 > tc.workers {
 			t.Fatalf("n=%d workers=%d: %d chunks", tc.n, tc.workers, len(bounds)-1)
 		}
+	}
+}
+
+func TestDefaultWorkersFollowsGOMAXPROCS(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	if got := DefaultWorkers(); got != 1 {
+		t.Fatalf("DefaultWorkers under GOMAXPROCS(1) = %d, want 1", got)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Statistical correctness harness for the frequency oracles: over many
-// seeded trials, each oracle's debiased estimates must be (a) unbiased —
+// Statistical correctness harness for the OUE collection paths, per-user and
+// aggregate: over many seeded trials, each path's debiased estimates must be (a) unbiased —
 // the per-index mean tracks the true frequency within a few standard errors
 // — and (b) correctly calibrated — the empirical estimator variance must
 // match the analytic Variance(n) formula the engine feeds into the DMU
@@ -43,7 +43,7 @@ func statTrueCounts() ([]int, []float64) {
 	return counts, freqs
 }
 
-// runTrials runs the harness for one oracle: estimate returns one trial's
+// runTrials runs the harness for one collection path: estimate returns one trial's
 // debiased frequency vector over the fixed true counts.
 func runTrials(t *testing.T, name string, analyticVar float64, estimate func(rng Rand, counts []int) []float64) {
 	t.Helper()
@@ -110,32 +110,5 @@ func TestOUEAggregatePathStatisticalCorrectness(t *testing.T) {
 	ao := NewAggregateOracle(oracle)
 	runTrials(t, "OUE-aggregate", oracle.Variance(statUsers), func(rng Rand, counts []int) []float64 {
 		return ao.Collect(rng, counts).EstimateAll()
-	})
-}
-
-func TestOLHStatisticalCorrectness(t *testing.T) {
-	oracle := MustOLH(statDomain, statEps)
-	seedSrc := NewRand(0x01f, 0x2e3)
-	runTrials(t, "OLH", oracle.Variance(statUsers), func(rng Rand, counts []int) []float64 {
-		agg := NewOLHAggregator(oracle)
-		for v, c := range counts {
-			for k := 0; k < c; k++ {
-				agg.Add(oracle.Perturb(rng, seedSrc, v))
-			}
-		}
-		return agg.EstimateAll()
-	})
-}
-
-func TestGRRStatisticalCorrectness(t *testing.T) {
-	oracle := MustGRR(statDomain, statEps)
-	runTrials(t, "GRR", oracle.Variance(statUsers), func(rng Rand, counts []int) []float64 {
-		agg := NewGRRAggregator(oracle)
-		for v, c := range counts {
-			for k := 0; k < c; k++ {
-				agg.Add(oracle.Perturb(rng, v))
-			}
-		}
-		return agg.EstimateAll()
 	})
 }

@@ -1,10 +1,11 @@
 // Package pipeline holds the stages of the RetraSyn per-timestamp round
 // (paper Algorithm 1) that internal/core's Plan/Close halves run:
 //
-//	Collector       — one frequency-oracle round over the sampled reporters;
-//	                  the only pluggable stage (four implementations), used by
-//	                  the in-process driver — on the wire the reports arrive
-//	                  over the network instead
+//	Collector       — one OUE collection round over the sampled reporters;
+//	                  the only pluggable stage (two implementations: per-user
+//	                  perturbation or the aggregate draw), used by the
+//	                  in-process driver — on the wire the reports arrive over
+//	                  the network instead
 //	DebiasEstimator — debiasing (and optional post-processing) of the aggregate
 //	DMUUpdater      — the DMU / AllUpdate refresh of the global mobility model
 //	SynthesisStage  — the real-time synthetic-database step
@@ -21,6 +22,7 @@ package pipeline
 import (
 	"time"
 
+	"retrasyn/internal/ldp"
 	"retrasyn/internal/trajectory"
 )
 
@@ -82,9 +84,8 @@ type StepContext struct {
 	// population division, the strategy's ε_t under budget division).
 	Epsilon float64
 
-	// Aggregate is the raw frequency-oracle aggregate the Collector
-	// produced.
-	Aggregate Aggregate
+	// Aggregate is the raw OUE aggregate the Collector produced.
+	Aggregate *ldp.Aggregator
 	// ErrUpd is the oracle's per-state estimation variance at this round's
 	// budget and population — the err_upd of the DMU comparison (Eq. 7).
 	ErrUpd float64
@@ -98,16 +99,6 @@ type StepContext struct {
 	Result StepResult
 	// Timings points at the run-level timing accumulator.
 	Timings *Timings
-}
-
-// Aggregate is the curator-side view of one collection round: enough to
-// debias frequencies, whatever the oracle protocol. ldp.Aggregator,
-// ldp.OLHAggregator and ldp.GRRAggregator all satisfy it.
-type Aggregate interface {
-	// N is the number of reports aggregated.
-	N() int
-	// EstimateAll returns the debiased frequency estimates for the domain.
-	EstimateAll() []float64
 }
 
 // Collector runs one frequency-oracle round over ctx.Reporters at budget

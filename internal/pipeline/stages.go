@@ -108,61 +108,6 @@ func (c *OUEAggregateCollector) Collect(ctx *StepContext) {
 	ctx.Timings.ModelConstruction += time.Since(start)
 }
 
-// OLHCollector runs the Optimized Local Hashing ablation: O(1)-size reports,
-// O(|S|) server work per report — the support counting is sharded across
-// Workers goroutines.
-type OLHCollector struct {
-	Dom     *transition.Domain
-	Rng     ldp.Rand
-	Workers int
-}
-
-// Collect implements Collector.
-func (c *OLHCollector) Collect(ctx *StepContext) {
-	oracle := ldp.MustOLH(c.Dom.Size(), ctx.Epsilon)
-	reports := make([]ldp.OLHReport, len(ctx.Reporters))
-	start := time.Now()
-	for i, ev := range ctx.Reporters {
-		idx, _ := c.Dom.Index(ev.State)
-		reports[i] = oracle.Perturb(c.Rng, c.Rng, idx)
-	}
-	ctx.Timings.UserSide += time.Since(start)
-
-	start = time.Now()
-	agg := ldp.NewOLHAggregator(oracle)
-	agg.AddReports(reports, c.Workers)
-	ctx.Aggregate = agg
-	ctx.ErrUpd = oracle.Variance(len(ctx.Reporters))
-	ctx.Timings.ModelConstruction += time.Since(start)
-}
-
-// GRRCollector runs the Generalized Randomized Response ablation.
-type GRRCollector struct {
-	Dom *transition.Domain
-	Rng ldp.Rand
-}
-
-// Collect implements Collector.
-func (c *GRRCollector) Collect(ctx *StepContext) {
-	oracle := ldp.MustGRR(c.Dom.Size(), ctx.Epsilon)
-	reports := make([]int, len(ctx.Reporters))
-	start := time.Now()
-	for i, ev := range ctx.Reporters {
-		idx, _ := c.Dom.Index(ev.State)
-		reports[i] = oracle.Perturb(c.Rng, idx)
-	}
-	ctx.Timings.UserSide += time.Since(start)
-
-	start = time.Now()
-	agg := ldp.NewGRRAggregator(oracle)
-	for _, r := range reports {
-		agg.Add(r)
-	}
-	ctx.Aggregate = agg
-	ctx.ErrUpd = oracle.Variance(len(ctx.Reporters))
-	ctx.Timings.ModelConstruction += time.Since(start)
-}
-
 // DebiasEstimator produces the unbiased frequency estimates and applies the
 // optional privacy-free consistency post-processing (paper Theorem 2).
 // Debiasing is model-construction work; post-processing is charged to the
