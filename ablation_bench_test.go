@@ -1,10 +1,10 @@
 package retrasyn
 
-// Ablation benches for two design choices: consistency post-processing of
-// the estimates (the paper uses raw estimates) and the parallel synthesis
-// path (§VII future work). Utility ablations report the
-// resulting query error / density error as custom benchmark metrics so a
-// single `go test -bench=Ablation` run shows the utility-vs-cost trade-off.
+// Ablation benches for consistency post-processing of the estimates (the
+// paper uses raw estimates), plus a large-population synthesis bench.
+// Utility ablations report the resulting query error / density error as
+// custom benchmark metrics so a single `go test -bench=Ablation` run shows
+// the utility-vs-cost trade-off.
 
 import (
 	"testing"
@@ -70,22 +70,16 @@ func benchPostProcess(b *testing.B, pp ldp.PostProcess) {
 	b.ReportMetric(r.DensityError, "densityerr")
 }
 
-// BenchmarkSynthesisSerial / Parallel8 measure the §VII acceleration on a
-// large synthetic population (40k streams).
-func BenchmarkSynthesisSerial(b *testing.B) { benchSynthWorkers(b, 1) }
-
-// BenchmarkSynthesisParallel8 runs the same workload with 8 workers.
-func BenchmarkSynthesisParallel8(b *testing.B) { benchSynthWorkers(b, 8) }
-
-func benchSynthWorkers(b *testing.B, workers int) {
+// BenchmarkSynthesisSerial measures synthesis on a large synthetic
+// population (40k streams).
+func BenchmarkSynthesisSerial(b *testing.B) {
 	g, err := NewGrid(10, Bounds{MaxX: 30, MaxY: 30})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const pop = 40000
 	fw, err := New(Options{
-		Grid: g, Epsilon: 1, Window: 10, Lambda: 20,
-		SynthesisWorkers: workers, Seed: 3,
+		Grid: g, Epsilon: 1, Window: 10, Lambda: 20, Seed: 3,
 	})
 	if err != nil {
 		b.Fatal(err)

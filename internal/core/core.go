@@ -78,10 +78,6 @@ type Options struct {
 	// privacy-free extension (Theorem 2) evaluated by the post-processing
 	// ablation bench. Default none (the paper's behaviour).
 	PostProcess ldp.PostProcess
-	// SynthesisWorkers > 1 parallelizes the new-point-generation phase of
-	// synthesis across that many goroutines (the paper §VII's future-work
-	// acceleration). Default 1 (sequential, matching the paper).
-	SynthesisWorkers int
 	// Seed drives all engine randomness; equal seeds reproduce runs exactly.
 	Seed uint64
 	// Metrics, when non-nil, receives pipeline stage-latency histograms,
@@ -204,8 +200,6 @@ func newEngine(opts Options, rngStream uint64) (*Engine, error) {
 	synth, err := synthesis.New(opts.Space, synthesis.Options{
 		Lambda:             opts.Lambda,
 		DisableTermination: opts.DisableEQ,
-		Workers:            opts.SynthesisWorkers,
-		Seed:               opts.Seed ^ 0x5851f42d4c957f2d,
 	}, rng)
 	if err != nil {
 		return nil, err

@@ -222,3 +222,36 @@ func TestSnapshotRetiredOracleRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRetiredSynthWorkers pins the retired
+// ConfigFingerprint.SynthWorkers guard: a checkpoint whose release came from
+// the retired parallel synthesis step (more than one worker) must not
+// restore, while 0 and 1 — both of which ran the serial step — do.
+func TestSnapshotRetiredSynthWorkers(t *testing.T) {
+	opts := defaultOpts(allocation.Population)
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Config.SynthWorkers != 0 {
+		t.Fatalf("snapshot synth_workers = %d, want 0", st.Config.SynthWorkers)
+	}
+	for _, workers := range []int{0, 1, 2, 8} {
+		st.Config.SynthWorkers = workers
+		e2, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e2.Restore(st)
+		switch {
+		case workers <= 1 && err != nil:
+			t.Fatalf("synth_workers %d: Restore error = %v, want success", workers, err)
+		case workers > 1 && (err == nil || !strings.Contains(err.Error(), "does not match engine config")):
+			t.Fatalf("synth_workers %d: Restore error = %v, want config mismatch", workers, err)
+		}
+	}
+}

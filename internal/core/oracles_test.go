@@ -55,46 +55,3 @@ func TestNormSubModelIsDistribution(t *testing.T) {
 		t.Fatal("empty model after bootstrap")
 	}
 }
-
-func TestParallelSynthesisEngine(t *testing.T) {
-	g := testGrid()
-	data := walkDataset(g, 3000, 20, 12, 73)
-	stream := trajectory.NewStream(data)
-	opts := defaultOpts(allocation.Population)
-	opts.SynthesisWorkers = 8
-	e, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, _ := e.Run(stream, "syn")
-	if err := syn.Validate(g, true); err != nil {
-		t.Fatalf("parallel engine output invalid: %v", err)
-	}
-	// Size mirroring must survive parallel generation.
-	counts := syn.ActiveCounts()
-	for ts, want := range stream.Active {
-		if counts[ts] != want {
-			t.Fatalf("t=%d: synthetic active %d, real %d", ts, counts[ts], want)
-		}
-	}
-}
-
-func TestParallelEngineDeterministic(t *testing.T) {
-	g := testGrid()
-	data := walkDataset(g, 2500, 15, 10, 79)
-	stream := trajectory.NewStream(data)
-	run := func() int {
-		opts := defaultOpts(allocation.Population)
-		opts.SynthesisWorkers = 4
-		e, _ := New(opts)
-		syn, _ := e.Run(stream, "syn")
-		sum := len(syn.Trajs)
-		for _, tr := range syn.Trajs {
-			sum = sum*31 + tr.Start + tr.Len()
-		}
-		return sum
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatal("parallel engine not deterministic")
-	}
-}

@@ -29,9 +29,10 @@ const EngineStateVersion = 1
 // ConfigFingerprint captures the Options fields that determine the engine's
 // randomness stream and domain layout. Restoring a snapshot into an engine
 // whose fingerprint differs would silently corrupt releases, so Restore
-// requires an exact match. Oracle named the frequency oracle when the engine
-// could run OLH or GRR; engines now collect with OUE only and always write 0,
-// so a checkpoint from an OLH or GRR engine is rejected, not restored.
+// requires an exact match. Two fields are retired and always written as 0:
+// Oracle (1 = OLH, 2 = GRR) and SynthWorkers (the parallel synthesis step's
+// workers). A checkpoint naming OLH, GRR or more than one worker is
+// rejected; one worker ran the serial step, so it restores like 0.
 type ConfigFingerprint struct {
 	// Discretizer is the stable layout fingerprint of the spatial backend
 	// (spatial.Discretizer.Fingerprint). Checkpoints written before the
@@ -48,8 +49,8 @@ type ConfigFingerprint struct {
 	DisableDMU   bool    `json:"disable_dmu"`
 	DisableEQ    bool    `json:"disable_eq"`
 	OracleMode   int     `json:"oracle_mode"`
-	Oracle       int     `json:"oracle"` // retired: 1 = OLH, 2 = GRR; always 0
-	SynthWorkers int     `json:"synth_workers"`
+	Oracle       int     `json:"oracle"`        // retired: 1 = OLH, 2 = GRR; always 0
+	SynthWorkers int     `json:"synth_workers"` // retired: always 0
 	Seed         uint64  `json:"seed"`
 }
 
@@ -62,18 +63,17 @@ func (e *Engine) fingerprint() ConfigFingerprint { return e.bootFP }
 
 func (e *Engine) configFingerprint() ConfigFingerprint {
 	return ConfigFingerprint{
-		Discretizer:  e.opts.Space.Fingerprint(),
-		DomainSize:   e.dom.Size(),
-		Epsilon:      e.opts.Epsilon,
-		W:            e.opts.W,
-		Division:     int(e.opts.Division),
-		Lambda:       e.opts.Lambda,
-		Kappa:        e.opts.Kappa,
-		DisableDMU:   e.opts.DisableDMU,
-		DisableEQ:    e.opts.DisableEQ,
-		OracleMode:   int(e.opts.OracleMode),
-		SynthWorkers: e.opts.SynthesisWorkers,
-		Seed:         e.opts.Seed,
+		Discretizer: e.opts.Space.Fingerprint(),
+		DomainSize:  e.dom.Size(),
+		Epsilon:     e.opts.Epsilon,
+		W:           e.opts.W,
+		Division:    int(e.opts.Division),
+		Lambda:      e.opts.Lambda,
+		Kappa:       e.opts.Kappa,
+		DisableDMU:  e.opts.DisableDMU,
+		DisableEQ:   e.opts.DisableEQ,
+		OracleMode:  int(e.opts.OracleMode),
+		Seed:        e.opts.Seed,
 	}
 }
 
@@ -175,6 +175,9 @@ func (e *Engine) Restore(st *EngineState) error {
 		// a uniform layout too (the remaining fields — domain size included
 		// — still must match).
 		want.Discretizer = got.Discretizer
+	}
+	if want.SynthWorkers == 1 {
+		want.SynthWorkers = 0 // one worker ran the serial step
 	}
 	if got != want {
 		return fmt.Errorf("core: snapshot config %+v does not match engine config %+v", want, got)

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	"retrasyn/internal/trajectory"
 )
 
 // driveRounds runs the in-process protocol for timestamps [from, to) with a
@@ -217,5 +219,52 @@ func TestCuratorAutoRelayoutCadence(t *testing.T) {
 	driveRounds(t, cur, srv.URL, 80, 0, 5)
 	if got := cur.LayoutStatus().Generation; got < 1 {
 		t.Fatalf("no automatic migration after the first rebuild period (generation %d)", got)
+	}
+}
+
+// TestSyntheticReleaseSurvivesRelayout pins the GET /v1/synthetic path: the
+// handler takes Curator.Synthetic under the lock but writes it after
+// releasing it, so a migration running meanwhile must neither race the
+// write nor rewrite the release.
+func TestSyntheticReleaseSurvivesRelayout(t *testing.T) {
+	cur, err := NewCurator(testConfig(testGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(cur))
+	defer srv.Close()
+	driveRounds(t, cur, srv.URL, 80, 0, 8)
+
+	rel := cur.Synthetic("remote")
+	var want bytes.Buffer
+	if err := trajectory.WriteCells(&want, rel); err != nil {
+		t.Fatal(err)
+	}
+	var during bytes.Buffer
+	written := make(chan error, 1)
+	go func() { written <- trajectory.WriteCells(&during, rel) }()
+	status, err := cur.Relayout(true)
+	if werr := <-written; werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !status.Switched {
+		t.Fatalf("forced relayout did not switch: %+v", status)
+	}
+	var remapped bytes.Buffer
+	if err := trajectory.WriteCells(&remapped, cur.Synthetic("remote")); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(remapped.Bytes(), want.Bytes()) {
+		t.Fatal("migration remapped no released cell; the test checks nothing")
+	}
+	var after bytes.Buffer
+	if err := trajectory.WriteCells(&after, rel); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(during.Bytes(), want.Bytes()) || !bytes.Equal(after.Bytes(), want.Bytes()) {
+		t.Fatal("a migration rewrote a release handed out before it")
 	}
 }

@@ -6,6 +6,15 @@
 // of active real users, appending new streams started from the entering
 // distribution E and terminating surplus streams weighted by the quitting
 // distribution Q.
+//
+// Memory layout: live streams are struct-of-arrays in release order (start
+// timestamp, cell buffer ending at the current cell), compacted in place by
+// each Step; buffers of ended streams are recycled, so a warmed synthesizer
+// allocates nothing per stream. An ended stream is copied once into an
+// append-only arena of fixed-size chunks — 4 bytes per point plus 8 per
+// stream, no slack. Dataset and State slice the arena (copying only the
+// recycled live buffers), and Relayout remaps it copy-on-write, so nothing
+// handed out ever changes.
 package synthesis
 
 import (
@@ -33,35 +42,31 @@ type Options struct {
 	// without bound, so an explicit ceiling keeps the probability valid.
 	// Defaults to 1.
 	MaxQuitProb float64
-	// Workers > 1 parallelizes new-point generation across that many
-	// goroutines once the population is large enough (the paper §VII's
-	// future-work acceleration). Runs are deterministic for a fixed
-	// (Seed, Workers) pair but differ from the serial stream.
-	Workers int
-	// Seed drives the per-shard generators of the parallel path.
-	Seed uint64
 }
 
 // Synthesizer owns the evolving synthetic database T_syn. It is not safe
-// for concurrent use.
+// for concurrent use; the Datasets and States it returns are, since they
+// never change afterwards.
 type Synthesizer struct {
 	sp   spatial.Discretizer
 	opts Options
 	rng  ldp.Rand
 
-	active    []*stream
-	completed []trajectory.CellTrajectory
+	// Live streams in release order: stream i started at liveStart[i] and
+	// its current cell is the last element of liveCells[i].
+	liveStart []int
+	liveCells [][]spatial.Cell
+	spare     [][]spatial.Cell // emptied buffers of ended streams
+
+	done history // completed streams in completion order
+
+	keys   keyOrder // terminate's sampling keys, reused across rounds
+	doomed []bool   // terminate's selection mask, reused across rounds
+
 	started   bool
 	now       int // last processed timestamp
-	stepCount int // steps processed, keys the parallel shard generators
+	stepCount int // steps processed (carried in State)
 }
-
-type stream struct {
-	start int
-	cells []spatial.Cell
-}
-
-func (s *stream) last() spatial.Cell { return s.cells[len(s.cells)-1] }
 
 // New creates a synthesizer over the spatial discretization sp.
 func New(sp spatial.Discretizer, opts Options, rng ldp.Rand) (*Synthesizer, error) {
@@ -78,14 +83,14 @@ func New(sp spatial.Discretizer, opts Options, rng ldp.Rand) (*Synthesizer, erro
 }
 
 // ActiveCount returns the number of live synthetic streams.
-func (s *Synthesizer) ActiveCount() int { return len(s.active) }
+func (s *Synthesizer) ActiveCount() int { return len(s.liveCells) }
 
 // ActiveCells appends the current (latest) cell of every live stream to buf
 // in stream order and returns it — the released positions at the current
 // timestamp, which online re-discretization sketches density from.
 func (s *Synthesizer) ActiveCells(buf []spatial.Cell) []spatial.Cell {
-	for _, st := range s.active {
-		buf = append(buf, st.last())
+	for _, cells := range s.liveCells {
+		buf = append(buf, cells[len(cells)-1])
 	}
 	return buf
 }
@@ -94,23 +99,21 @@ func (s *Synthesizer) ActiveCells(buf []spatial.Cell) []spatial.Cell {
 // When mapCell is non-nil every stored cell — in-flight streams and the
 // completed history alike — is remapped through it (online re-discretization
 // passes the max-overlap cell map), keeping the released database coherent
-// in the new layout; a nil mapCell only swaps the space (checkpoint restore,
-// where the restored streams already carry new-layout cells).
+// in the new layout; the history is rewritten into fresh chunks, so releases
+// handed out before the migration keep their old-layout cells. A nil
+// mapCell only swaps the space (checkpoint restore, where the restored
+// streams already carry new-layout cells).
 func (s *Synthesizer) Relayout(sp spatial.Discretizer, mapCell func(spatial.Cell) spatial.Cell) {
 	s.sp = sp
 	if mapCell == nil {
 		return
 	}
-	for _, st := range s.active {
-		for i, c := range st.cells {
-			st.cells[i] = mapCell(c)
+	for _, cells := range s.liveCells {
+		for i, c := range cells {
+			cells[i] = mapCell(c)
 		}
 	}
-	for _, tr := range s.completed {
-		for i, c := range tr.Cells {
-			tr.Cells[i] = mapCell(c)
-		}
-	}
+	s.done.remap(mapCell)
 }
 
 // Init seeds the synthetic database at timestamp t with target streams whose
@@ -132,7 +135,21 @@ func (s *Synthesizer) spawn(t int, snap *mobility.Snapshot) {
 	} else {
 		c = snap.SampleEnter(s.rng)
 	}
-	s.active = append(s.active, &stream{start: t, cells: []spatial.Cell{c}})
+	var buf []spatial.Cell
+	if n := len(s.spare); n > 0 {
+		buf, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
+	s.liveStart = append(s.liveStart, t)
+	s.liveCells = append(s.liveCells, append(buf, c))
+}
+
+// finish moves a stream's cells into the completed history and recycles its
+// buffer. Streams with no cells leave no trace in the release.
+func (s *Synthesizer) finish(start int, cells, buf []spatial.Cell) {
+	if len(cells) > 0 {
+		s.done.add(start, cells)
+	}
+	s.spare = append(s.spare, buf[:0])
 }
 
 // Step advances the synthetic database to timestamp t (which must be the
@@ -148,44 +165,61 @@ func (s *Synthesizer) Step(t, target int, snap *mobility.Snapshot) {
 	s.stepCount++
 
 	// Phase 1 — new point generation (Eq. 8 termination + Markov move).
-	if s.opts.Workers > 1 && len(s.active) >= parallelThreshold {
-		s.stepParallel(snap)
-	} else {
-		keep := s.active[:0]
-		for _, st := range s.active {
-			if !s.opts.DisableTermination {
-				p := float64(len(st.cells)) / s.opts.Lambda * snap.QuitProb(st.last())
-				if p > s.opts.MaxQuitProb {
-					p = s.opts.MaxQuitProb
-				}
-				if ldp.Bernoulli(s.rng, p) {
-					s.completed = append(s.completed, trajectory.CellTrajectory{Start: st.start, Cells: st.cells})
-					continue
-				}
+	keep := 0
+	for i, cells := range s.liveCells {
+		last := cells[len(cells)-1]
+		if !s.opts.DisableTermination {
+			p := float64(len(cells)) / s.opts.Lambda * snap.QuitProb(last)
+			if p > s.opts.MaxQuitProb {
+				p = s.opts.MaxQuitProb
 			}
-			st.cells = append(st.cells, snap.SampleMove(s.rng, st.last()))
-			keep = append(keep, st)
+			if ldp.Bernoulli(s.rng, p) {
+				s.finish(s.liveStart[i], cells, cells)
+				continue
+			}
 		}
-		// Zero dropped tail pointers so completed streams can be collected.
-		for i := len(keep); i < len(s.active); i++ {
-			s.active[i] = nil
-		}
-		s.active = keep
+		s.liveStart[keep] = s.liveStart[i]
+		s.liveCells[keep] = append(cells, snap.SampleMove(s.rng, last))
+		keep++
 	}
+	s.truncateLive(keep)
 
 	// Phase 2 — size adjustment.
 	if s.opts.DisableTermination {
 		return
 	}
 	switch {
-	case target > len(s.active):
-		for len(s.active) < target {
+	case target > len(s.liveCells):
+		for len(s.liveCells) < target {
 			s.spawn(t, snap)
 		}
-	case target < len(s.active):
-		s.terminate(len(s.active)-target, snap)
+	case target < len(s.liveCells):
+		s.terminate(len(s.liveCells)-target, snap)
 	}
 }
+
+// truncateLive drops the live streams from index n on, whose buffers have
+// already gone to the spare list.
+func (s *Synthesizer) truncateLive(n int) {
+	clear(s.liveCells[n:])
+	s.liveStart = s.liveStart[:n]
+	s.liveCells = s.liveCells[:n]
+}
+
+// keyed is one live stream's A-Res sampling key.
+type keyed struct {
+	idx int
+	key float64
+}
+
+// keyOrder sorts keys in descending order with sort.Sort: the same pdqsort
+// as sort.Slice, so ties (zero-weight streams' keys underflow to exactly 0)
+// break identically, minus sort.Slice's reflection allocations.
+type keyOrder []keyed
+
+func (k *keyOrder) Len() int           { return len(*k) }
+func (k *keyOrder) Less(a, b int) bool { return (*k)[a].key > (*k)[b].key }
+func (k *keyOrder) Swap(a, b int)      { (*k)[a], (*k)[b] = (*k)[b], (*k)[a] }
 
 // terminate removes k streams, weighted by the quitting distribution over
 // their most recent locations (weighted sampling without replacement via
@@ -195,41 +229,33 @@ func (s *Synthesizer) Step(t, target int, snap *mobility.Snapshot) {
 // timestamp t has its final location at t−1, exactly like an Eq. 8 quit —
 // which keeps the per-timestamp point count of T_syn equal to the target.
 func (s *Synthesizer) terminate(k int, snap *mobility.Snapshot) {
-	type keyed struct {
-		idx int
-		key float64
-	}
-	keys := make([]keyed, len(s.active))
 	const floor = 1e-12
-	for i, st := range s.active {
-		w := snap.QuitWeight(st.last()) + floor
+	s.keys = s.keys[:0]
+	for i, cells := range s.liveCells {
+		w := snap.QuitWeight(cells[len(cells)-1]) + floor
 		u := s.rng.Float64()
 		for u == 0 {
 			u = s.rng.Float64()
 		}
 		// A-Res weighted reservoir key: u^(1/w); larger keys win.
-		keys[i] = keyed{idx: i, key: math.Pow(u, 1/w)}
+		s.keys = append(s.keys, keyed{idx: i, key: math.Pow(u, 1/w)})
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].key > keys[b].key })
-	doomed := make(map[int]bool, k)
-	for i := 0; i < k && i < len(keys); i++ {
-		doomed[keys[i].idx] = true
+	sort.Sort(&s.keys)
+	s.doomed = append(s.doomed[:0], make([]bool, len(s.liveCells))...)
+	for _, kd := range s.keys[:min(k, len(s.keys))] {
+		s.doomed[kd.idx] = true
 	}
-	keep := s.active[:0]
-	for i, st := range s.active {
-		if doomed[i] {
-			cells := st.cells[:len(st.cells)-1]
-			if len(cells) > 0 {
-				s.completed = append(s.completed, trajectory.CellTrajectory{Start: st.start, Cells: cells})
-			}
+	keep := 0
+	for i, cells := range s.liveCells {
+		if s.doomed[i] {
+			s.finish(s.liveStart[i], cells[:len(cells)-1], cells)
 			continue
 		}
-		keep = append(keep, st)
+		s.liveStart[keep] = s.liveStart[i]
+		s.liveCells[keep] = cells
+		keep++
 	}
-	for i := len(keep); i < len(s.active); i++ {
-		s.active[i] = nil
-	}
-	s.active = keep
+	s.truncateLive(keep)
 }
 
 // State is the serializable form of a Synthesizer, used by engine
@@ -242,34 +268,30 @@ type State struct {
 	StepCount int                         `json:"step_count"`
 }
 
-// State exports a deep copy of the synthesizer's mutable state. The copy is
-// stable: subsequent Steps never mutate it.
+// State exports the synthesizer's mutable state. The export is stable:
+// subsequent Steps and Relayouts never mutate it. Completed streams share
+// the immutable history arena; live streams are copied.
 func (s *Synthesizer) State() State {
-	st := State{
-		Active:    make([]trajectory.CellTrajectory, len(s.active)),
-		Completed: make([]trajectory.CellTrajectory, len(s.completed)),
+	return State{
+		Active:    s.appendLive(make([]trajectory.CellTrajectory, 0, len(s.liveCells))),
+		Completed: s.done.appendTo(make([]trajectory.CellTrajectory, 0, len(s.done.refs))),
 		Started:   s.started,
 		Now:       s.now,
 		StepCount: s.stepCount,
 	}
-	for i, str := range s.active {
-		st.Active[i] = trajectory.CellTrajectory{Start: str.start, Cells: append([]spatial.Cell(nil), str.cells...)}
-	}
-	for i, tr := range s.completed {
-		st.Completed[i] = trajectory.CellTrajectory{Start: tr.Start, Cells: append([]spatial.Cell(nil), tr.Cells...)}
-	}
-	return st
 }
 
 // Restore replaces the synthesizer's state with a previously exported one.
+// Nothing of st is retained.
 func (s *Synthesizer) Restore(st State) {
-	s.active = make([]*stream, len(st.Active))
-	for i, tr := range st.Active {
-		s.active[i] = &stream{start: tr.Start, cells: append([]spatial.Cell(nil), tr.Cells...)}
+	s.truncateLive(0)
+	for _, tr := range st.Active {
+		s.liveStart = append(s.liveStart, tr.Start)
+		s.liveCells = append(s.liveCells, append([]spatial.Cell(nil), tr.Cells...))
 	}
-	s.completed = make([]trajectory.CellTrajectory, len(st.Completed))
-	for i, tr := range st.Completed {
-		s.completed[i] = trajectory.CellTrajectory{Start: tr.Start, Cells: append([]spatial.Cell(nil), tr.Cells...)}
+	s.done = history{}
+	for _, tr := range st.Completed {
+		s.done.add(tr.Start, tr.Cells)
 	}
 	s.started = st.Started
 	s.now = st.Now
@@ -277,13 +299,79 @@ func (s *Synthesizer) Restore(st State) {
 }
 
 // Dataset returns the released synthetic database over timeline [0, T):
-// all completed streams plus the still-active ones.
+// all completed streams in completion order, then the still-active ones in
+// release order. The Dataset never changes afterwards.
 func (s *Synthesizer) Dataset(name string, T int) *trajectory.Dataset {
-	d := &trajectory.Dataset{Name: name, T: T}
-	d.Trajs = make([]trajectory.CellTrajectory, 0, len(s.completed)+len(s.active))
-	d.Trajs = append(d.Trajs, s.completed...)
-	for _, st := range s.active {
-		d.Trajs = append(d.Trajs, trajectory.CellTrajectory{Start: st.start, Cells: st.cells})
+	trajs := s.done.appendTo(make([]trajectory.CellTrajectory, 0, len(s.done.refs)+len(s.liveCells)))
+	return &trajectory.Dataset{Name: name, T: T, Trajs: s.appendLive(trajs)}
+}
+
+// appendLive appends a copy of every live stream to dst, all sharing one
+// fresh backing array.
+func (s *Synthesizer) appendLive(dst []trajectory.CellTrajectory) []trajectory.CellTrajectory {
+	n := 0
+	for _, cells := range s.liveCells {
+		n += len(cells)
 	}
-	return d
+	flat := make([]spatial.Cell, 0, n)
+	for i, cells := range s.liveCells {
+		off := len(flat)
+		flat = append(flat, cells...)
+		dst = append(dst, trajectory.CellTrajectory{Start: s.liveStart[i], Cells: flat[off:len(flat):len(flat)]})
+	}
+	return dst
+}
+
+// chunkCells is the capacity of one history chunk (256 KiB).
+const chunkCells = 1 << 16
+
+// history is the append-only arena of completed streams. Streams lie back
+// to back inside chunks; one that does not fit in the last chunk's free
+// capacity opens the next chunk (sized to the stream when it exceeds
+// chunkCells). Every stream is thus contiguous, and offsets and chunk
+// boundaries follow from the lengths alone.
+type history struct {
+	chunks [][]spatial.Cell
+	refs   []ref
+}
+
+// ref locates one completed stream: its start timestamp and length.
+type ref struct{ start, n int32 }
+
+func (h *history) add(start int, cells []spatial.Cell) {
+	last := len(h.chunks) - 1
+	if last < 0 || len(h.chunks[last])+len(cells) > cap(h.chunks[last]) {
+		h.chunks = append(h.chunks, make([]spatial.Cell, 0, max(chunkCells, len(cells))))
+		last++
+	}
+	h.chunks[last] = append(h.chunks[last], cells...)
+	h.refs = append(h.refs, ref{start: int32(start), n: int32(len(cells))})
+}
+
+// appendTo appends every completed stream, in completion order, to dst as
+// arena slices capped at their length, so appending to one never writes
+// into the arena.
+func (h *history) appendTo(dst []trajectory.CellTrajectory) []trajectory.CellTrajectory {
+	c, off := 0, 0
+	for _, r := range h.refs {
+		next := off + int(r.n)
+		if next > len(h.chunks[c]) { // did not fit: add opened the next chunk
+			c, off, next = c+1, 0, int(r.n)
+		}
+		dst = append(dst, trajectory.CellTrajectory{Start: int(r.start), Cells: h.chunks[c][off:next:next]})
+		off = next
+	}
+	return dst
+}
+
+// remap rewrites every stored cell through mapCell into fresh chunks,
+// leaving the old chunks — and every slice handed out of them — untouched.
+func (h *history) remap(mapCell func(spatial.Cell) spatial.Cell) {
+	for c, chunk := range h.chunks {
+		fresh := make([]spatial.Cell, len(chunk), cap(chunk))
+		for i, cell := range chunk {
+			fresh[i] = mapCell(cell)
+		}
+		h.chunks[c] = fresh
+	}
 }

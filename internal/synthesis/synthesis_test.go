@@ -7,6 +7,7 @@ import (
 	"retrasyn/internal/grid"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/mobility"
+	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
 )
 
@@ -206,18 +207,17 @@ func TestTerminationWeightedByQuitDistribution(t *testing.T) {
 	const trials = 400
 	for trial := 0; trial < trials; trial++ {
 		s, _ := New(g, Options{Lambda: 1e9}, ldp.NewRand(uint64(trial), 99))
-		s.Init(0, 0, snap)
 		// Hand-build a population: 1 stream resting at cell 0, 3 at other
-		// cells. Streams are length-2 because terminate drops the point of
-		// the timestamp being adjusted.
-		s.active = []*stream{
-			{start: 0, cells: []grid.Cell{0, 0}},
-			{start: 0, cells: []grid.Cell{1, 1}},
-			{start: 0, cells: []grid.Cell{2, 2}},
-			{start: 0, cells: []grid.Cell{3, 3}},
-		}
-		s.terminate(1, snap)
-		for _, tr := range s.completed {
+		// cells. The self-loops extend each by its own cell, and shrinking
+		// the target to 3 makes size adjustment terminate one of them.
+		s.Restore(State{Started: true, Active: []trajectory.CellTrajectory{
+			{Start: 0, Cells: []grid.Cell{0}},
+			{Start: 0, Cells: []grid.Cell{1}},
+			{Start: 0, Cells: []grid.Cell{2}},
+			{Start: 0, Cells: []grid.Cell{3}},
+		}})
+		s.Step(1, 3, snap)
+		for _, tr := range s.State().Completed {
 			if tr.Cells[len(tr.Cells)-1] == 0 {
 				terminatedAt0++
 			}

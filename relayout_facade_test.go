@@ -11,6 +11,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"retrasyn/internal/ldp"
 	"retrasyn/internal/trajectory"
 )
 
@@ -257,5 +258,64 @@ func TestRunRejectsAdaptive(t *testing.T) {
 	}
 	if _, _, err := fw2.RunAdaptive(raw); err == nil {
 		t.Fatal("RunAdaptive accepted a frozen-layout framework")
+	}
+}
+
+// TestSyntheticSurvivesRelayoutAndLaterRounds pins that a release, once
+// handed out, never changes: neither a later migration (which remaps the
+// engine's history into the new layout) nor later rounds may rewrite it.
+func TestSyntheticSurvivesRelayoutAndLaterRounds(t *testing.T) {
+	b := Bounds{MaxX: 30, MaxY: 30}
+	g, err := NewGrid(6, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(Options{Grid: g, Epsilon: 1, Window: 5, Lambda: 4, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := ldp.NewRand(5, 6)
+	const users = 400
+	round := func() {
+		t.Helper()
+		sp := fw.Space()
+		events := make([]Event, users)
+		for i := range events {
+			c := Cell(rng.IntN(sp.NumCells()))
+			ns := sp.Neighbors(c)
+			events[i] = Event{User: i, State: MoveState(c, ns[rng.IntN(len(ns))])}
+		}
+		if err := fw.ProcessTimestamp(events, users); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	rel := fw.Synthetic("before")
+	want := datasetFingerprint(rel)
+
+	pts := make([]Point, 2000)
+	for i := range pts {
+		pts[i] = Point{X: 30 * rng.Float64() * rng.Float64(), Y: 30 * rng.Float64()}
+	}
+	qt, err := NewQuadtree(b, pts, QuadtreeOptions{MaxLeaves: 16, MaxDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Relayout(qt); err != nil {
+		t.Fatal(err)
+	}
+	if remapped := fw.Synthetic("remapped"); datasetFingerprint(remapped) == want {
+		t.Fatal("migration remapped no released cell; the test checks nothing")
+	}
+	if got := datasetFingerprint(rel); got != want {
+		t.Fatal("a migration rewrote a release handed out before it")
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	if got := datasetFingerprint(rel); got != want {
+		t.Fatal("later rounds rewrote a release handed out before them")
 	}
 }

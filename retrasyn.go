@@ -198,9 +198,6 @@ type Options struct {
 	// see ldp.AggregateOracle for why the default is statistically
 	// equivalent).
 	FaithfulClients bool
-	// SynthesisWorkers > 1 parallelizes synthetic-point generation (the
-	// paper's future-work acceleration). Default sequential.
-	SynthesisWorkers int
 	// Shards > 1 runs that many independent pipeline instances in parallel,
 	// fanning users out by ID and merging the released synthetic databases —
 	// the heavy-traffic deployment. Each user's whole stream lands on one
@@ -316,19 +313,18 @@ func New(opts Options) (*Framework, error) {
 			return nil, err
 		}
 		return core.New(core.Options{
-			Space:            space,
-			Epsilon:          opts.Epsilon,
-			W:                opts.Window,
-			Division:         division,
-			Strategy:         strategy,
-			Lambda:           opts.Lambda,
-			DisableDMU:       opts.DisableDMU,
-			DisableEQ:        opts.DisableEQ,
-			OracleMode:       mode,
-			SynthesisWorkers: opts.SynthesisWorkers,
-			Seed:             seed,
-			Metrics:          opts.Metrics,
-			MetricsShard:     shard,
+			Space:        space,
+			Epsilon:      opts.Epsilon,
+			W:            opts.Window,
+			Division:     division,
+			Strategy:     strategy,
+			Lambda:       opts.Lambda,
+			DisableDMU:   opts.DisableDMU,
+			DisableEQ:    opts.DisableEQ,
+			OracleMode:   mode,
+			Seed:         seed,
+			Metrics:      opts.Metrics,
+			MetricsShard: shard,
 		})
 	}
 	if opts.RediscretizeEvery < 0 {
