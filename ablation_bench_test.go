@@ -32,14 +32,14 @@ func ablationData(b *testing.B) (*Dataset, *Grid) {
 
 func runEngineAblation(b *testing.B, orig *Dataset, g *Grid, mutate func(*core.Options)) metrics.Report {
 	b.Helper()
-	opts := core.Options{
+	opts := core.Options{Config: core.Config{
 		Space:    g,
 		Epsilon:  1.0,
 		W:        20,
 		Division: allocation.Population,
 		Lambda:   orig.Stats().AvgLength,
 		Seed:     17,
-	}
+	}}
 	mutate(&opts)
 	e, err := core.New(opts)
 	if err != nil {

@@ -166,11 +166,11 @@ func BenchmarkEngineTimestamp(b *testing.B) {
 		ns := g.Neighbors(c)
 		events[i] = trajectory.Event{User: i, State: MoveState(c, ns[rng.IntN(len(ns))])}
 	}
-	engine, err := core.New(core.Options{
+	engine, err := core.New(core.Options{Config: core.Config{
 		Space: g, Epsilon: 1.0, W: 10,
 		Division: allocation.Population,
 		Lambda:   13.6, Seed: 11,
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -58,80 +58,20 @@ import (
 	"syscall"
 	"time"
 
-	"retrasyn"
-	"retrasyn/internal/allocation"
-	"retrasyn/internal/geofence"
-	"retrasyn/internal/grid"
-	"retrasyn/internal/relayout"
+	"retrasyn/internal/core"
 	"retrasyn/internal/remote"
-	"retrasyn/internal/spatial"
-	"retrasyn/internal/trajectory"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		k           = flag.Int("k", 6, "grid granularity K (-spatial uniform)")
-		boundMin    = flag.Float64("boundsMin", 0, "spatial lower bound (both axes)")
-		boundMax    = flag.Float64("boundsMax", 30, "spatial upper bound (both axes)")
-		eps         = flag.Float64("eps", 1.0, "privacy budget ε")
-		w           = flag.Int("w", 20, "window size w")
-		lambda      = flag.Float64("lambda", 13.6, "synthesis termination factor λ")
-		division    = flag.String("division", "population", `"budget" or "population"`)
-		spatialKind = flag.String("spatial", "uniform", `spatial discretization: "uniform" (K×K grid), "quadtree" (density-adaptive; requires -density) or "geofence" (polygonal; requires -fence)`)
-		maxLeaves   = flag.Int("max-leaves", 64, "quadtree leaf budget (-spatial quadtree)")
-		density     = flag.String("density", "", "public/historical raw-trajectory CSV that seeds the quadtree density sketch (-spatial quadtree)")
-		fence       = flag.String("fence", "", "GeoJSON fence file whose polygons become the cells (-spatial geofence)")
-		seed        = flag.Uint64("seed", 2024, "curator randomness seed")
-		checkpoint  = flag.String("checkpoint", "", "state file loaded on boot and written on graceful shutdown")
-		drainGrace  = flag.Duration("drainGrace", 10*time.Second, "graceful-shutdown grace for in-flight requests")
-		rediscEvery = flag.Int("rediscretize-every", 0, "rebuild the spatial layout from the released stream every N windows at finalize and migrate when it drifted (0 = frozen layout; POST /v1/relayout still works)")
-		relayoutThr = flag.Float64("relayout-threshold", 0, "minimum layout distance in [0,1) for a rebuilt layout to replace the current one (0 = default 0.1)")
-		monitorWin  = flag.Int("monitor-window", 0, "utility monitor release-sketch length in timestamps (0 = default: w)")
-		trigger     = flag.String("trigger", "", `relayout trigger policy: "geometric" (default), "degradation-or" or "degradation-and" (combine the distance threshold with utility-monitor alarms)`)
-		traceRounds = flag.String("trace-rounds", "", "write one JSONL trace event per finalized round to this file")
-		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	)
-	flag.Parse()
-
-	if err := validateFlags(*k, *eps, *w, *lambda, *boundMin, *boundMax, *spatialKind, *maxLeaves, *density, *fence, *drainGrace); err != nil {
-		log.Fatalf("curator: %v", err)
+	cur, s, err := boot(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	space, err := buildSpace(*spatialKind, *k, *boundMin, *boundMax, *maxLeaves, *density, *fence)
 	if err != nil {
 		log.Fatalf("curator: %v", err)
 	}
-	div := allocation.Population
-	switch *division {
-	case "population":
-	case "budget":
-		div = allocation.Budget
-	default:
-		log.Fatalf("curator: unknown -division %q (want \"budget\" or \"population\")", *division)
-	}
-	if *rediscEvery < 0 {
-		log.Fatalf("curator: -rediscretize-every must be ≥ 0, got %d", *rediscEvery)
-	}
-	if *relayoutThr < 0 || *relayoutThr >= 1 {
-		log.Fatalf("curator: -relayout-threshold must be in [0,1), got %v", *relayoutThr)
-	}
-	if *monitorWin < 0 {
-		log.Fatalf("curator: -monitor-window must be ≥ 0, got %d", *monitorWin)
-	}
-	policy := relayout.TriggerPolicy(*trigger)
-	if err := policy.Validate(); err != nil {
-		log.Fatalf("curator: -trigger: %v", err)
-	}
-	cur, err := remote.NewCurator(remote.CuratorConfig{
-		Space: space, Epsilon: *eps, W: *w, Division: div, Lambda: *lambda, Seed: *seed,
-		RediscretizeEvery: *rediscEvery, RelayoutThreshold: *relayoutThr,
-		MonitorWindow: *monitorWin, TriggerPolicy: policy,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *checkpoint != "" {
-		if err := loadCheckpoint(cur, *checkpoint); err != nil {
+	if s.checkpoint != "" {
+		if err := loadCheckpoint(cur, s.checkpoint); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -140,18 +80,18 @@ func main() {
 	// timestamp context (they also count on curator.round_errors /
 	// curator.relayout_errors in the registry).
 	cur.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	if *traceRounds != "" {
-		tf, err := os.OpenFile(*traceRounds, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if s.traceRounds != "" {
+		tf, err := os.OpenFile(s.traceRounds, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatalf("curator: open -trace-rounds: %v", err)
 		}
 		defer tf.Close()
 		cur.SetTracer(slog.New(slog.NewJSONHandler(tf, nil)))
-		fmt.Printf("curator: tracing rounds to %s\n", *traceRounds)
+		fmt.Printf("curator: tracing rounds to %s\n", s.traceRounds)
 	}
 
 	handler := remote.NewHandler(cur)
-	if *pprofOn {
+	if s.pprof {
 		// Wrap the protocol mux so /debug/pprof/ resolves without exposing
 		// the default serve mux.
 		top := http.NewServeMux()
@@ -165,7 +105,7 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              s.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -175,7 +115,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("curator: serving w-event ε-LDP collection on %s (ε=%.2f w=%d, %s division, %d cells / %d states via %s)\n",
-		*addr, *eps, *w, div, space.NumCells(), cur.Domain().Size(), *spatialKind)
+		s.addr, s.cfg.Epsilon, s.cfg.W, s.cfg.Division, s.cfg.Space.NumCells(), cur.Domain().Size(), s.spatial)
 
 	select {
 	case err := <-errc:
@@ -186,96 +126,60 @@ func main() {
 	// Graceful shutdown: stop accepting, drain in-flight handlers, then
 	// checkpoint the quiesced state.
 	fmt.Println("curator: shutting down...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
+	drainCtx, cancel := context.WithTimeout(context.Background(), s.drainGrace)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Printf("curator: drain: %v", err)
 	}
-	if *checkpoint != "" {
-		if err := writeCheckpoint(cur, *checkpoint); err != nil {
+	if s.checkpoint != "" {
+		if err := writeCheckpoint(cur, s.checkpoint); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("curator: state checkpointed to %s\n", *checkpoint)
+		fmt.Printf("curator: state checkpointed to %s\n", s.checkpoint)
 	}
 }
 
-// validateFlags rejects unusable configurations up front with errors that
-// name the flag and the accepted range, instead of panicking mid-boot or
-// silently falling back to defaults.
-func validateFlags(k int, eps float64, w int, lambda, boundMin, boundMax float64, spatialKind string, maxLeaves int, density, fence string, drainGrace time.Duration) error {
-	if !(eps > 0) {
-		return fmt.Errorf("-eps must be > 0, got %v", eps)
-	}
-	if w < 1 {
-		return fmt.Errorf("-w must be ≥ 1, got %d", w)
-	}
-	if !(lambda > 0) {
-		return fmt.Errorf("-lambda must be > 0, got %v", lambda)
-	}
-	if boundMax <= boundMin {
-		return fmt.Errorf("-boundsMax (%v) must exceed -boundsMin (%v)", boundMax, boundMin)
-	}
-	if drainGrace <= 0 {
-		return fmt.Errorf("-drainGrace must be positive, got %v", drainGrace)
-	}
-	switch spatialKind {
-	case "uniform":
-		if k < 1 {
-			return fmt.Errorf("-k must be ≥ 1, got %d", k)
-		}
-	case "quadtree":
-		if maxLeaves < 1 {
-			return fmt.Errorf("-max-leaves must be ≥ 1, got %d", maxLeaves)
-		}
-		if density == "" {
-			return fmt.Errorf("-spatial quadtree needs -density, a public/historical raw-trajectory CSV that seeds the density sketch")
-		}
-	case "geofence":
-		if fence == "" {
-			return fmt.Errorf("-spatial geofence needs -fence, a GeoJSON file whose polygons become the cells")
-		}
-	default:
-		return fmt.Errorf("unknown -spatial %q (want \"uniform\", \"quadtree\" or \"geofence\")", spatialKind)
-	}
-	return nil
+// settings is the curator's parsed command line.
+type settings struct {
+	cfg                                    remote.CuratorConfig
+	addr, spatial, checkpoint, traceRounds string
+	drainGrace                             time.Duration
+	pprof                                  bool
 }
 
-// buildSpace constructs the configured spatial discretization.
-func buildSpace(kind string, k int, boundMin, boundMax float64, maxLeaves int, density, fence string) (spatial.Discretizer, error) {
-	b := spatial.Bounds{MinX: boundMin, MinY: boundMin, MaxX: boundMax, MaxY: boundMax}
-	if kind == "uniform" {
-		return grid.New(k, b)
+// boot parses args, rejecting unusable flags with errors that name them, and
+// constructs the curator they configure.
+func boot(args []string) (*remote.Curator, *settings, error) {
+	fs := flag.NewFlagSet("curator", flag.ContinueOnError)
+	shared := core.RegisterFlags(fs)
+	s := &settings{}
+	fs.StringVar(&s.addr, "addr", ":8080", "listen address")
+	fs.Float64Var(&shared.Lambda, "lambda", 13.6, "synthesis termination factor λ")
+	fs.IntVar(&shared.MonitorWindow, "monitor-window", 0, "utility monitor release-sketch length in timestamps (0 = default: w)")
+	fs.StringVar(&s.checkpoint, "checkpoint", "", "state file loaded on boot and written on graceful shutdown")
+	fs.DurationVar(&s.drainGrace, "drainGrace", 10*time.Second, "graceful-shutdown grace for in-flight requests")
+	fs.StringVar(&s.traceRounds, "trace-rounds", "", "write one JSONL trace event per finalized round to this file")
+	fs.BoolVar(&s.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
 	}
-	if kind == "geofence" {
-		f, err := os.Open(fence)
-		if err != nil {
-			return nil, fmt.Errorf("open -fence: %w", err)
-		}
-		defer f.Close()
-		polys, err := geofence.ParseFence(f)
-		if err != nil {
-			return nil, fmt.Errorf("-fence %s: %w", fence, err)
-		}
-		gf, err := geofence.NewFence(polys)
-		if err != nil {
-			return nil, fmt.Errorf("-fence %s: %w", fence, err)
-		}
-		return gf, nil
+	if err := shared.Validate(); err != nil {
+		return nil, nil, err
 	}
-	f, err := os.Open(density)
+	if s.drainGrace <= 0 {
+		return nil, nil, fmt.Errorf("-drainGrace must be positive, got %v", s.drainGrace)
+	}
+	space, err := shared.Space(shared.Bounds(), nil)
 	if err != nil {
-		return nil, fmt.Errorf("open -density: %w", err)
+		return nil, nil, err
 	}
-	defer f.Close()
-	raw, err := trajectory.ReadRaw(f)
+	s.cfg, s.spatial = shared.Config, shared.Spatial
+	s.cfg.Space = space
+	cur, err := remote.NewCurator(s.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("parse -density %s: %w", density, err)
+		return nil, nil, core.FlagError(err)
 	}
-	pts := retrasyn.DensitySketch(raw)
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("-density %s holds no points; the quadtree needs a non-empty sketch", density)
-	}
-	return spatial.NewQuadtree(b, pts, spatial.QuadtreeOptions{MaxLeaves: maxLeaves})
+	return cur, s, nil
 }
 
 // loadCheckpoint restores the curator from a state file; a missing file is a

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"retrasyn/internal/allocation"
 	"retrasyn/internal/grid"
@@ -111,39 +110,28 @@ func TestLoadCheckpointCorruptNamesPath(t *testing.T) {
 	}
 }
 
+// TestValidateFlags: the command's own flags are rejected naming the flag,
+// the shared ones (see core.TestValidateFlags) are wired in, and -strategy
+// reaches the curator.
 func TestValidateFlags(t *testing.T) {
-	type flags struct {
-		k                  int
-		eps                float64
-		w                  int
-		lambda, bmin, bmax float64
-		spatial            string
-		maxLeaves          int
-		density, fence     string
-		drain              time.Duration
-	}
-	ok := flags{k: 6, eps: 1, w: 20, lambda: 13.6, bmax: 30, spatial: "uniform", maxLeaves: 64, drain: time.Second}
-	validate := func(f flags) error {
-		return validateFlags(f.k, f.eps, f.w, f.lambda, f.bmin, f.bmax, f.spatial, f.maxLeaves, f.density, f.fence, f.drain)
-	}
-	if err := validate(ok); err != nil {
+	cur, s, err := boot([]string{"-k", "4", "-strategy", "sample", "-trigger", "degradation-and"})
+	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	for flag, mutate := range map[string]func(*flags){
-		"-eps":        func(f *flags) { f.eps = 0 },
-		"-w":          func(f *flags) { f.w = 0 },
-		"-lambda":     func(f *flags) { f.lambda = -1 },
-		"-boundsMax":  func(f *flags) { f.bmax = f.bmin },
-		"-drainGrace": func(f *flags) { f.drain = 0 },
-		"-k":          func(f *flags) { f.k = 0 },
-		"-max-leaves": func(f *flags) { f.spatial, f.density, f.maxLeaves = "quadtree", "d.csv", 0 },
-		"-density":    func(f *flags) { f.spatial = "quadtree" },
-		"-fence":      func(f *flags) { f.spatial = "geofence" },
-		"-spatial":    func(f *flags) { f.spatial = "hexagonal" },
+	if s.cfg.Strategy != "sample" || cur.Domain().Space().NumCells() != 16 {
+		t.Fatalf("flags did not reach the curator: %+v", s.cfg)
+	}
+	for flag, args := range map[string][]string{
+		"-lambda":         {"-lambda", "-1"},
+		"-drainGrace":     {"-drainGrace", "0"},
+		"-monitor-window": {"-monitor-window", "-1"},
+		"-eps":            {"-eps", "0"},
+		"-strategy":       {"-strategy", "zigzag"},
+		"-trigger":        {"-trigger", "bogus"},
+		"-k":              {"-k", "0"},
+		"-density":        {"-spatial", "quadtree"},
 	} {
-		f := ok
-		mutate(&f)
-		if err := validate(f); err == nil || !strings.Contains(err.Error(), flag) {
+		if _, _, err := boot(args); err == nil || !strings.Contains(err.Error(), flag) {
 			t.Errorf("%s: error %v does not name the flag", flag, err)
 		}
 	}

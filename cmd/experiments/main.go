@@ -10,9 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,18 +23,51 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// order lists the artifacts in the order -exp all regenerates them.
+var order = []string{"table1", "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6", "fig7"}
+
+// run parses args, rejecting unusable flags before any dataset is
+// generated, and writes the selected artifacts to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "artifact to regenerate (table1|table3|table4|table5|fig3|fig4|fig5|fig6|fig7|all)")
-		scale    = flag.Float64("scale", 1.0, "dataset population scale")
-		eps      = flag.Float64("eps", 1.0, "default privacy budget ε")
-		w        = flag.Int("w", 20, "default window size w")
-		k        = flag.Int("k", 6, "default granularity K")
-		phi      = flag.Int("phi", 10, "default evaluation range φ")
-		seed     = flag.Uint64("seed", 2024, "seed")
-		parallel = flag.Int("parallel", 0, "max concurrent runs (default NumCPU)")
-		bestOf   = flag.Bool("bestof", true, "Table III: report best across allocation strategies")
+		exp      = fs.String("exp", "all", "artifact to regenerate ("+strings.Join(order, "|")+"|all)")
+		scale    = fs.Float64("scale", 1.0, "dataset population scale")
+		eps      = fs.Float64("eps", 1.0, "default privacy budget ε")
+		w        = fs.Int("w", 20, "default window size w")
+		k        = fs.Int("k", 6, "default granularity K")
+		phi      = fs.Int("phi", 10, "default evaluation range φ")
+		seed     = fs.Uint64("seed", 2024, "seed")
+		parallel = fs.Int("parallel", 0, "max concurrent runs (default NumCPU)")
+		bestOf   = fs.Bool("bestof", true, "Table III: report best across allocation strategies")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Params would silently replace these with the paper's defaults.
+	switch {
+	case !(*eps > 0):
+		return fmt.Errorf("-eps must be > 0, got %v", *eps)
+	case *w < 1:
+		return fmt.Errorf("-w must be ≥ 1, got %d", *w)
+	case *k < 1:
+		return fmt.Errorf("-k must be ≥ 1, got %d", *k)
+	case !(*scale > 0):
+		return fmt.Errorf("-scale must be > 0, got %v", *scale)
+	}
+	selected := order
+	if name := strings.ToLower(*exp); name != "all" {
+		if !slices.Contains(order, name) {
+			return fmt.Errorf("unknown -exp %q (want one of %s, all)", *exp, strings.Join(order, ", "))
+		}
+		selected = []string{name}
+	}
 
 	p := experiments.DefaultParams()
 	p.Scale = *scale
@@ -57,31 +93,16 @@ func main() {
 		"fig6":   func() (fmt.Stringer, error) { return env.Fig6(nil) },
 		"fig7":   func() (fmt.Stringer, error) { return env.Fig7(nil) },
 	}
-	order := []string{"table1", "table3", "table4", "table5", "fig3", "fig4", "fig5", "fig6", "fig7"}
-
-	var selected []string
-	switch strings.ToLower(*exp) {
-	case "all":
-		selected = order
-	default:
-		if _, ok := runners[strings.ToLower(*exp)]; !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q (want one of %s, all)\n",
-				*exp, strings.Join(order, ", "))
-			os.Exit(2)
-		}
-		selected = []string{strings.ToLower(*exp)}
-	}
-
-	fmt.Printf("# RetraSyn evaluation — scale=%.2f ε=%.1f w=%d K=%d φ=%d seed=%d\n",
+	fmt.Fprintf(stdout, "# RetraSyn evaluation — scale=%.2f ε=%.1f w=%d K=%d φ=%d seed=%d\n",
 		p.Scale, p.Epsilon, p.W, p.K, p.Phi, p.Seed)
 	for _, name := range selected {
 		start := time.Now()
 		res, err := runners[name]()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", name, err)
-			os.Exit(1)
+			return fmt.Errorf("%s failed: %w", name, err)
 		}
-		fmt.Printf("\n================ %s (%.1fs) ================\n\n%s",
+		fmt.Fprintf(stdout, "\n================ %s (%.1fs) ================\n\n%s",
 			name, time.Since(start).Seconds(), res.String())
 	}
+	return nil
 }

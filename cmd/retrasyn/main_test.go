@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,38 +12,30 @@ import (
 	"retrasyn/internal/trajectory"
 )
 
+// TestValidateFlags: the command's own flags are rejected naming the flag,
+// the shared ones (see core.TestValidateFlags) are wired in, and a toy run
+// with valid flags succeeds.
 func TestValidateFlags(t *testing.T) {
-	type flags struct {
-		k          int
-		eps        float64
-		w, shards  int
-		scale      float64
-		bmin, bmax float64
-		spatial    string
-		maxLeaves  int
-		fence      string
-	}
-	ok := flags{k: 6, eps: 1, w: 20, shards: 1, scale: 0.5, bmax: 30, spatial: "uniform", maxLeaves: 64}
-	validate := func(f flags) error {
-		return validateFlags(f.k, f.eps, f.w, f.shards, f.scale, f.bmin, f.bmax, f.spatial, f.maxLeaves, f.fence)
-	}
-	if err := validate(ok); err != nil {
+	var out strings.Builder
+	if err := run([]string{"-scale", "0.02", "-w", "5", "-strategy", "sample", "-monitor-window", "5"}, &out); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	for flag, mutate := range map[string]func(*flags){
-		"-k":          func(f *flags) { f.k = 0 },
-		"-eps":        func(f *flags) { f.eps = 0 },
-		"-w":          func(f *flags) { f.w = 0 },
-		"-shards":     func(f *flags) { f.shards = 0 },
-		"-scale":      func(f *flags) { f.scale = -1 },
-		"-boundsMax":  func(f *flags) { f.bmax = f.bmin },
-		"-max-leaves": func(f *flags) { f.spatial, f.maxLeaves = "quadtree", 0 },
-		"-fence":      func(f *flags) { f.spatial = "geofence" },
-		"-spatial":    func(f *flags) { f.spatial = "hexagonal" },
+	if !strings.Contains(out.String(), "monitor: status") || !strings.Contains(out.String(), "utility") {
+		t.Fatalf("toy run printed no monitor line or utility report:\n%s", out.String())
+	}
+	for flag, args := range map[string][]string{
+		"-shards":         {"-shards", "0"},
+		"-scale":          {"-scale", "-1"},
+		"-monitor-window": {"-monitor-window", "-1"},
+		"-eps":            {"-eps", "0"},
+		"-strategy":       {"-strategy", "zigzag"},
+		"-trigger":        {"-trigger", "bogus"},
+		"-spatial":        {"-spatial", "hexagonal"},
+		// The baselines' grid is built whatever -spatial says.
+		"-k":      {"-k", "0", "-spatial", "quadtree", "-scale", "0.02"},
+		"-method": {"-method", "lbx", "-scale", "0.02"},
 	} {
-		f := ok
-		mutate(&f)
-		if err := validate(f); err == nil || !strings.Contains(err.Error(), flag) {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), flag) {
 			t.Errorf("%s: error %v does not name the flag", flag, err)
 		}
 	}

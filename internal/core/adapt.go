@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -18,35 +19,46 @@ import (
 // touches an engine RNG and never enters an engine checkpoint.
 
 // NewLayoutControl builds the two observers of the released stream for a
-// deployment booted on space: the re-discretization controller (nil when
-// ctlOpts is nil) and the utility monitor (nil when monitorWindow is 0), with
-// the monitor's alarms wired into the controller's trigger policy. ctlOpts
-// needs Every, W, Threshold and Trigger; the rebuilt trees tile space's
-// bounds and default to its cell count as their leaf budget, which keeps the
-// LDP report size stable across migrations.
-func NewLayoutControl(space spatial.Discretizer, ctlOpts *relayout.ControllerOptions, monitorWindow int, reg *obs.Registry) (*relayout.Controller, *monitor.Monitor, error) {
+// deployment booted on cfg.Space: the re-discretization controller (nil
+// unless track is set or cfg.RediscretizeEvery > 0) and the utility monitor
+// (nil when cfg.MonitorWindow is 0), with the monitor's alarms wired into the
+// controller's trigger policy. cfg has passed Validate. The rebuilt trees
+// tile the boot layout's bounds and default to its cell count as their leaf
+// budget, which keeps the LDP report size stable across migrations.
+func NewLayoutControl(cfg Config, track bool, reg *obs.Registry) (*relayout.Controller, *monitor.Monitor, error) {
 	var ctl *relayout.Controller
-	if ctlOpts != nil {
-		opts := *ctlOpts
-		opts.Bounds = space.Bounds()
-		if opts.Quadtree.MaxLeaves == 0 {
-			opts.Quadtree.MaxLeaves = space.NumCells()
-		}
+	if track || cfg.RediscretizeEvery > 0 {
 		var err error
-		if ctl, err = relayout.NewController(opts); err != nil {
+		ctl, err = relayout.NewController(relayout.ControllerOptions{
+			Every:     cfg.RediscretizeEvery,
+			W:         cfg.W,
+			Threshold: cfg.RelayoutThreshold,
+			Quadtree:  spatial.QuadtreeOptions{MaxLeaves: cmp.Or(cfg.RelayoutLeaves, cfg.Space.NumCells())},
+			Bounds:    cfg.Space.Bounds(),
+			Trigger:   cfg.TriggerPolicy,
+		})
+		if err != nil {
 			return nil, nil, err
 		}
 		ctl.SetMetrics(reg)
 	}
 	var mon *monitor.Monitor
-	if monitorWindow > 0 {
+	if cfg.MonitorWindow > 0 {
 		var err error
-		if mon, err = monitor.New(monitor.Options{Window: monitorWindow}); err != nil {
+		if mon, err = monitor.New(monitor.Options{Window: cfg.MonitorWindow}); err != nil {
 			return nil, nil, err
 		}
 		mon.SetMetrics(reg)
 		if ctl != nil {
 			ctl.SetAlarmSource(mon)
+		}
+	}
+	if cfg.TriggerPolicy.UsesAlarms() {
+		if ctl == nil {
+			return nil, nil, fmt.Errorf("core: TriggerPolicy %q requires RediscretizeEvery > 0", cfg.TriggerPolicy)
+		}
+		if mon == nil {
+			return nil, nil, fmt.Errorf("core: TriggerPolicy %q requires MonitorWindow > 0 — the degradation trigger consumes the monitor's alarms", cfg.TriggerPolicy)
 		}
 	}
 	return ctl, mon, nil

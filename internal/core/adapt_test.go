@@ -28,7 +28,7 @@ func observedEngine(tb testing.TB, space spatial.Discretizer, n, window int, reg
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, mon, err := NewLayoutControl(space, nil, window, reg)
+	_, mon, err := NewLayoutControl(Config{Space: space, W: opts.W, MonitorWindow: window}, false, reg)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -46,25 +46,10 @@ const (
 	Aggregate
 )
 
-// Options configures an Engine.
+// Options configures an Engine: the shared Config plus the in-process
+// extras only the library and its benches set.
 type Options struct {
-	// Space is the spatial discretization the engine runs on (required) —
-	// the uniform grid for the paper's setup, or any other
-	// spatial.Discretizer backend (e.g. the density-adaptive quadtree).
-	Space   spatial.Discretizer
-	Epsilon float64
-	// W is the w-event window size.
-	W int
-	// Division selects budget or population division.
-	Division allocation.Division
-	// Strategy decides per-timestamp allocation; defaults to the paper's
-	// adaptive strategy for the configured division.
-	Strategy allocation.Strategy
-	// Lambda is the synthesis termination factor λ (Eq. 8); the paper sets
-	// it to the dataset's average trajectory length.
-	Lambda float64
-	// Kappa is the tracker history length κ of Eq. 9–10 (default 5).
-	Kappa int
+	Config
 	// DisableDMU refreshes the whole model every round (AllUpdate ablation).
 	DisableDMU bool
 	// DisableEQ drops entering/quitting modelling (NoEQ ablation): the
@@ -78,8 +63,6 @@ type Options struct {
 	// privacy-free extension (Theorem 2) evaluated by the post-processing
 	// ablation bench. Default none (the paper's behaviour).
 	PostProcess ldp.PostProcess
-	// Seed drives all engine randomness; equal seeds reproduce runs exactly.
-	Seed uint64
 	// Metrics, when non-nil, receives pipeline stage-latency histograms,
 	// round/report counters and the privacy-budget meter series. Metrics are
 	// run-scoped — they never enter EngineState — and recording never touches
@@ -92,23 +75,14 @@ type Options struct {
 }
 
 func (o *Options) defaults() error {
-	if o.Space == nil {
-		return fmt.Errorf("core: Space (the spatial discretization) is required")
-	}
-	if !(o.Epsilon > 0) {
-		return fmt.Errorf("core: Epsilon must be > 0, got %v", o.Epsilon)
-	}
-	if o.W < 1 {
-		return fmt.Errorf("core: W must be ≥ 1, got %d", o.W)
+	if err := o.Validate(); err != nil {
+		return err
 	}
 	if o.Kappa == 0 {
 		o.Kappa = 5
 	}
-	if o.Strategy == nil {
-		o.Strategy = allocation.NewAdaptive(o.Division)
-	}
 	if !o.DisableEQ && !(o.Lambda > 0) {
-		return fmt.Errorf("core: Lambda must be > 0, got %v", o.Lambda)
+		return fieldErr("Lambda", "must be > 0, got %v", o.Lambda)
 	}
 	return nil
 }
@@ -136,6 +110,7 @@ type Engine struct {
 	space      spatial.Discretizer
 	generation int
 	bootFP     ConfigFingerprint
+	strategy   allocation.Strategy
 	dom        *transition.Domain
 	model      *mobility.Model
 	synth      *synthesis.Synthesizer
@@ -204,8 +179,10 @@ func newEngine(opts Options, rngStream uint64) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	strategy, _ := opts.newStrategy() // the name passed Validate
 	e := &Engine{
 		opts:      opts,
+		strategy:  strategy,
 		synth:     synth,
 		rng:       rng,
 		estimator: pipeline.DebiasEstimator{Post: opts.PostProcess},
@@ -214,7 +191,7 @@ func newEngine(opts Options, rngStream uint64) (*Engine, error) {
 		lastT:     -1,
 	}
 	e.rewire(opts.Space, dom, mobility.NewModel(dom), false)
-	e.bootFP = e.configFingerprint()
+	e.bootFP = opts.fingerprint(dom)
 	e.metrics = pipeline.NewMetrics(opts.Metrics, opts.MetricsShard)
 	e.meter = allocation.NewMeter(opts.Metrics, opts.W)
 	e.mObserve = opts.Metrics.Histogram("relayout.observe_duration_us")

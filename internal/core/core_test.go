@@ -38,14 +38,14 @@ func walkDataset(g spatial.Discretizer, users, T int, meanLen float64, seed uint
 }
 
 func defaultOpts(div allocation.Division) Options {
-	return Options{
+	return Options{Config: Config{
 		Space:    testGrid(),
 		Epsilon:  1.0,
 		W:        5,
 		Division: div,
 		Lambda:   6,
 		Seed:     42,
-	}
+	}}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -119,11 +119,7 @@ func TestBudgetDivisionWindowInvariant(t *testing.T) {
 	g := testGrid()
 	data := walkDataset(g, 250, 60, 9, 13)
 	stream := trajectory.NewStream(data)
-	for _, strat := range []allocation.Strategy{
-		allocation.NewAdaptive(allocation.Budget),
-		&allocation.Uniform{Division: allocation.Budget},
-		&allocation.Sample{Division: allocation.Budget},
-	} {
+	for _, strat := range []string{StrategyAdaptive, StrategyUniform, StrategySample} {
 		opts := defaultOpts(allocation.Budget)
 		opts.Strategy = strat
 		e, _ := New(opts)
@@ -132,7 +128,7 @@ func TestBudgetDivisionWindowInvariant(t *testing.T) {
 		// timestamp it is present, so the per-user window sum is bounded by
 		// the global per-timestamp budget sum.
 		if got := e.Ledger().MaxWindowSum(opts.W); got > opts.Epsilon+1e-9 {
-			t.Fatalf("%s: window budget %v exceeds ε=%v", strat.Name(), got, opts.Epsilon)
+			t.Fatalf("%s: window budget %v exceeds ε=%v", strat, got, opts.Epsilon)
 		}
 	}
 }
@@ -141,11 +137,7 @@ func TestPopulationDivisionUserInvariant(t *testing.T) {
 	g := testGrid()
 	data := walkDataset(g, 250, 60, 9, 17)
 	stream := trajectory.NewStream(data)
-	for _, strat := range []allocation.Strategy{
-		allocation.NewAdaptive(allocation.Population),
-		&allocation.Uniform{Division: allocation.Population},
-		&allocation.Sample{Division: allocation.Population},
-	} {
+	for _, strat := range []string{StrategyAdaptive, StrategyUniform, StrategySample} {
 		opts := defaultOpts(allocation.Population)
 		opts.Strategy = strat
 		e, _ := New(opts)
@@ -154,7 +146,7 @@ func TestPopulationDivisionUserInvariant(t *testing.T) {
 		// within any window of w timestamps.
 		got := e.Ledger().MaxUserWindowSum(opts.W, func(int) float64 { return opts.Epsilon })
 		if got > opts.Epsilon+1e-9 {
-			t.Fatalf("%s: per-user window budget %v exceeds ε=%v", strat.Name(), got, opts.Epsilon)
+			t.Fatalf("%s: per-user window budget %v exceeds ε=%v", strat, got, opts.Epsilon)
 		}
 	}
 }

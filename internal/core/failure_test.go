@@ -14,10 +14,10 @@ import (
 
 func TestEngineK1Grid(t *testing.T) {
 	g := grid.MustNew(1, grid.Bounds{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
-	opts := Options{
+	opts := Options{Config: Config{
 		Space: g, Epsilon: 1, W: 3,
 		Division: allocation.Population, Lambda: 4, Seed: 1,
-	}
+	}}
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -71,13 +71,11 @@ func goldenCases() []struct {
 		{"population-aggregate", func(o *Options) { o.OracleMode = Aggregate }, 0xd8543d7967b76224},
 		{"budget-aggregate", func(o *Options) {
 			o.Division = allocation.Budget
-			o.Strategy = allocation.NewAdaptive(allocation.Budget)
 			o.OracleMode = Aggregate
 		}, 0xd9685253a3f68673},
 		{"population-peruser", func(o *Options) { o.OracleMode = PerUser }, 0xe3bb31981e50e88a},
 		{"budget-peruser", func(o *Options) {
 			o.Division = allocation.Budget
-			o.Strategy = allocation.NewAdaptive(allocation.Budget)
 			o.OracleMode = PerUser
 		}, 0x55ebee9bb11dbb57},
 		{"allupdate", func(o *Options) { o.DisableDMU = true }, 0x9245340888ee5aba},

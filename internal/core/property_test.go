@@ -26,10 +26,10 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		}
 		data := walkDataset(g, 120, 25, 7, seed)
 		stream := trajectory.NewStream(data)
-		e, err := New(Options{
+		e, err := New(Options{Config: Config{
 			Space: g, Epsilon: eps, W: w, Division: div,
 			Lambda: 7, Seed: seed ^ 0xfeed,
-		})
+		}})
 		if err != nil {
 			return false
 		}

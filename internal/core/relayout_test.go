@@ -58,7 +58,6 @@ func TestRelayoutIdenticalLayoutIsBitIdentical(t *testing.T) {
 	for _, div := range []allocation.Division{allocation.Population, allocation.Budget} {
 		run := func(migrateAt int) uint64 {
 			opts := defaultOpts(div)
-			opts.Strategy = allocation.NewAdaptive(div)
 			opts.Space = qt
 			opts.Seed = 4242
 			e, err := New(opts)

@@ -129,7 +129,7 @@ func (e *Engine) decide(t, poolSize int) allocation.Decision {
 	if e.budgetWin != nil {
 		ctx.WindowUsed = e.budgetWin.Used()
 	}
-	d := e.opts.Strategy.Decide(ctx)
+	d := e.strategy.Decide(ctx)
 	if !e.updater.Bootstrapped() && poolSize > 0 && !d.Report {
 		if e.opts.Division == allocation.Budget {
 			return allocation.Decision{Report: true, Epsilon: e.opts.Epsilon / float64(e.opts.W)}

@@ -3,13 +3,13 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-
 	"strings"
 
 	"retrasyn/internal/allocation"
 	"retrasyn/internal/mobility"
 	"retrasyn/internal/relayout"
 	"retrasyn/internal/synthesis"
+	"retrasyn/internal/transition"
 )
 
 // Engine checkpointing: Snapshot exports the complete processing state — the
@@ -26,12 +26,14 @@ import (
 // snapshots from a different version.
 const EngineStateVersion = 1
 
-// ConfigFingerprint captures the Options fields that determine the engine's
-// randomness stream and domain layout. Restoring a snapshot into an engine
-// whose fingerprint differs would silently corrupt releases, so Restore
-// requires an exact match. Two fields are retired and always written as 0:
-// Oracle (1 = OLH, 2 = GRR) and SynthWorkers (the parallel synthesis step's
-// workers). A checkpoint naming OLH, GRR or more than one worker is
+// ConfigFingerprint pins the Options fields that determine the engine's
+// randomness stream, domain layout and round logic. Restoring a snapshot
+// into an engine whose fingerprint differs would silently corrupt releases,
+// so Restore requires an exact match. Every Options field is either
+// fingerprinted here or named, with its reason, on the allowlist of
+// TestFingerprintCoversEveryField. Two fields are retired and always written
+// as 0: Oracle (1 = OLH, 2 = GRR) and SynthWorkers (the parallel synthesis
+// step's workers). A checkpoint naming OLH, GRR or more than one worker is
 // rejected; one worker ran the serial step, so it restores like 0.
 type ConfigFingerprint struct {
 	// Discretizer is the stable layout fingerprint of the spatial backend
@@ -52,28 +54,39 @@ type ConfigFingerprint struct {
 	Oracle       int     `json:"oracle"`        // retired: 1 = OLH, 2 = GRR; always 0
 	SynthWorkers int     `json:"synth_workers"` // retired: always 0
 	Seed         uint64  `json:"seed"`
+	// Strategy and PostProcess are absent from checkpoints written before
+	// they were pinned; those read as adaptive and none, the only values
+	// such a checkpoint can restore into. The defaults stay absent, so
+	// Strategy is empty for the adaptive strategy.
+	Strategy    string `json:"strategy,omitempty"`
+	PostProcess int    `json:"post_process,omitempty"`
 }
 
-// fingerprint returns the boot-time config fingerprint. It is captured at
-// New and deliberately frozen: online re-discretization changes the current
-// layout (recorded separately via EngineState.Generation/Layout) but not the
-// configuration the engine was built with, so checkpoints taken before and
-// after migrations all validate against the same construction options.
-func (e *Engine) fingerprint() ConfigFingerprint { return e.bootFP }
-
-func (e *Engine) configFingerprint() ConfigFingerprint {
+// fingerprint returns the checkpoint identity of an engine built from o over
+// dom (o's boot domain). It is captured at New and deliberately frozen:
+// online re-discretization changes the current layout (recorded separately
+// via EngineState.Generation/Layout) but not the configuration the engine was
+// built with, so checkpoints taken before and after migrations all validate
+// against the same construction options.
+func (o *Options) fingerprint(dom *transition.Domain) ConfigFingerprint {
+	strategy := o.Strategy
+	if strategy == StrategyAdaptive {
+		strategy = ""
+	}
 	return ConfigFingerprint{
-		Discretizer: e.opts.Space.Fingerprint(),
-		DomainSize:  e.dom.Size(),
-		Epsilon:     e.opts.Epsilon,
-		W:           e.opts.W,
-		Division:    int(e.opts.Division),
-		Lambda:      e.opts.Lambda,
-		Kappa:       e.opts.Kappa,
-		DisableDMU:  e.opts.DisableDMU,
-		DisableEQ:   e.opts.DisableEQ,
-		OracleMode:  int(e.opts.OracleMode),
-		Seed:        e.opts.Seed,
+		Discretizer: o.Space.Fingerprint(),
+		DomainSize:  dom.Size(),
+		Epsilon:     o.Epsilon,
+		W:           o.W,
+		Division:    int(o.Division),
+		Lambda:      o.Lambda,
+		Kappa:       o.Kappa,
+		DisableDMU:  o.DisableDMU,
+		DisableEQ:   o.DisableEQ,
+		OracleMode:  int(o.OracleMode),
+		Seed:        o.Seed,
+		Strategy:    strategy,
+		PostProcess: int(o.PostProcess),
 	}
 }
 
@@ -121,7 +134,7 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 	}
 	st := &EngineState{
 		Version:      EngineStateVersion,
-		Config:       e.fingerprint(),
+		Config:       e.bootFP,
 		Generation:   e.generation,
 		LastT:        e.lastT,
 		Stats:        e.stats,
@@ -168,7 +181,7 @@ func (e *Engine) Restore(st *EngineState) error {
 	if st.Version != EngineStateVersion {
 		return fmt.Errorf("core: snapshot version %d, engine supports %d", st.Version, EngineStateVersion)
 	}
-	got, want := e.fingerprint(), st.Config
+	got, want := e.bootFP, st.Config
 	if want.Discretizer == "" && strings.HasPrefix(got.Discretizer, "uniform:") {
 		// Legacy checkpoint from a pre-spatial build: those engines only
 		// ever ran the uniform grid, so accept iff this engine's backend is

@@ -122,8 +122,8 @@ func TestRunAllMethodsSmoke(t *testing.T) {
 func TestRunUnknownStrategy(t *testing.T) {
 	e := NewEnv(tinyParams())
 	d, _ := e.Dataset("TDriveSim", 4)
-	if _, err := Run(RunSpec{Method: MethodRetraSynP, Strategy: "bogus", Epsilon: 1, W: 5}, d); err == nil {
-		t.Fatal("bogus strategy accepted")
+	if _, err := Run(RunSpec{Method: MethodRetraSynP, Strategy: "bogus", Epsilon: 1, W: 5}, d); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("bogus strategy: error %v does not name it", err)
 	}
 }
 

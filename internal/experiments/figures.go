@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"retrasyn/internal/core"
 	"retrasyn/internal/metrics"
 	"retrasyn/internal/trajectory"
 )
@@ -29,16 +30,16 @@ type Fig3 struct {
 type fig3Spec struct {
 	label    string
 	method   Method
-	strategy StrategyName
+	strategy string
 }
 
 func fig3Specs() []fig3Spec {
 	return []fig3Spec{
-		{"AdaptiveB", MethodRetraSynB, StrategyAdaptive},
-		{"AdaptiveP", MethodRetraSynP, StrategyAdaptive},
-		{"UniformB", MethodRetraSynB, StrategyUniform},
-		{"UniformP", MethodRetraSynP, StrategyUniform},
-		{"Sample", MethodRetraSynP, StrategySample},
+		{"AdaptiveB", MethodRetraSynB, core.StrategyAdaptive},
+		{"AdaptiveP", MethodRetraSynP, core.StrategyAdaptive},
+		{"UniformB", MethodRetraSynB, core.StrategyUniform},
+		{"UniformP", MethodRetraSynP, core.StrategyUniform},
+		{"Sample", MethodRetraSynP, core.StrategySample},
 	}
 }
 

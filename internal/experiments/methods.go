@@ -80,32 +80,10 @@ func AblationMethods() []Method {
 	return []Method{MethodAllUpdateB, MethodAllUpdateP, MethodNoEQB, MethodNoEQP, MethodRetraSynB, MethodRetraSynP}
 }
 
-// StrategyName selects an allocation strategy for RetraSyn methods.
-type StrategyName string
-
-const (
-	StrategyAdaptive StrategyName = "adaptive"
-	StrategyUniform  StrategyName = "uniform"
-	StrategySample   StrategyName = "sample"
-)
-
-func buildStrategy(name StrategyName, div allocation.Division) (allocation.Strategy, error) {
-	switch name {
-	case StrategyAdaptive, "":
-		return allocation.NewAdaptive(div), nil
-	case StrategyUniform:
-		return &allocation.Uniform{Division: div}, nil
-	case StrategySample:
-		return &allocation.Sample{Division: div}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown strategy %q", name)
-	}
-}
-
 // RunSpec fully describes one system run.
 type RunSpec struct {
 	Method   Method
-	Strategy StrategyName // RetraSyn methods only; default adaptive
+	Strategy string // RetraSyn methods only: a core strategy name; default adaptive
 	Epsilon  float64
 	W        int
 	Seed     uint64
@@ -138,19 +116,17 @@ func Run(spec RunSpec, d *Discretized) (*RunResult, error) {
 		return &RunResult{Syn: syn}, nil
 	}
 
-	strategy, err := buildStrategy(spec.Strategy, spec.Method.Division())
-	if err != nil {
-		return nil, err
-	}
 	opts := core.Options{
-		Space:      d.Grid,
-		Epsilon:    spec.Epsilon,
-		W:          spec.W,
-		Division:   spec.Method.Division(),
-		Strategy:   strategy,
-		Lambda:     d.Lambda,
+		Config: core.Config{
+			Space:    d.Grid,
+			Epsilon:  spec.Epsilon,
+			W:        spec.W,
+			Division: spec.Method.Division(),
+			Strategy: spec.Strategy,
+			Lambda:   d.Lambda,
+			Seed:     spec.Seed,
+		},
 		OracleMode: spec.Oracle,
-		Seed:       spec.Seed,
 	}
 	switch spec.Method {
 	case MethodAllUpdateB, MethodAllUpdateP:

@@ -84,7 +84,7 @@ func (e *Env) Table3(epsilons []float64) (*Table3, error) {
 		dataset  string
 		method   Method
 		eps      float64
-		strategy StrategyName
+		strategy string
 	}
 	var jobs []job
 	for _, ds := range res.Datasets {
@@ -92,9 +92,9 @@ func (e *Env) Table3(epsilons []float64) (*Table3, error) {
 		for _, m := range res.Methods {
 			res.Values[ds][m] = make(map[float64]metrics.Report)
 			for _, eps := range epsilons {
-				strategies := []StrategyName{StrategyAdaptive}
+				strategies := []string{core.StrategyAdaptive}
 				if e.Params.BestOf && !m.IsBaseline() {
-					strategies = append(strategies, StrategyUniform, StrategySample)
+					strategies = append(strategies, core.StrategyUniform, core.StrategySample)
 				}
 				for _, s := range strategies {
 					jobs = append(jobs, job{dataset: ds, method: m, eps: eps, strategy: s})

@@ -46,14 +46,14 @@ func newCoordinator(t *testing.T, g *grid.System, shards int, seed uint64) *pipe
 	t.Helper()
 	runners := make([]pipeline.Runner, shards)
 	for i := range runners {
-		e, err := core.New(core.Options{
+		e, err := core.New(core.Options{Config: core.Config{
 			Space:    g,
 			Epsilon:  1.0,
 			W:        5,
 			Division: allocation.Population,
 			Lambda:   6,
 			Seed:     seed + uint64(i)*0x9e3779b97f4a7c15,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,10 +134,10 @@ func TestCoordinatorSingleShardMatchesBareEngine(t *testing.T) {
 	data := walkDataset(g, 250, 30, 8, 11)
 	stream := trajectory.NewStream(data)
 
-	opts := core.Options{
+	opts := core.Options{Config: core.Config{
 		Space: g, Epsilon: 1.0, W: 5,
 		Division: allocation.Population, Lambda: 6, Seed: 42,
-	}
+	}}
 	bare, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -210,11 +210,11 @@ func ExampleCoordinator() {
 	g := grid.MustNew(4, grid.Bounds{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 	runners := make([]pipeline.Runner, 4)
 	for i := range runners {
-		runners[i], _ = core.New(core.Options{
+		runners[i], _ = core.New(core.Options{Config: core.Config{
 			Space: g, Epsilon: 1.0, W: 5,
 			Division: allocation.Population, Lambda: 6,
 			Seed: 1 + uint64(i),
-		})
+		}})
 	}
 	coord, _ := pipeline.NewCoordinator(runners)
 	data := walkDataset(g, 400, 30, 8, 23)

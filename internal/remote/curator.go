@@ -28,6 +28,7 @@
 package remote
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -41,91 +42,14 @@ import (
 	"retrasyn/internal/obs"
 	"retrasyn/internal/pipeline"
 	"retrasyn/internal/relayout"
-	"retrasyn/internal/spatial"
 	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
 )
 
-// CuratorConfig configures a Curator.
-type CuratorConfig struct {
-	// Space is the spatial discretization the curator runs on (required):
-	// the uniform grid, the density-adaptive quadtree, or any other
-	// spatial.Discretizer backend.
-	Space   spatial.Discretizer
-	Epsilon float64
-	W       int
-	// Division selects budget or population division. The zero value is
-	// budget division; set allocation.Population for the variant the paper
-	// finds strongest.
-	Division allocation.Division
-	// Strategy defaults to the adaptive strategy for the division.
-	Strategy allocation.Strategy
-	// Lambda is the Eq. 8 termination factor.
-	Lambda float64
-	// Kappa is the tracker history length (default 5).
-	Kappa int
-	// Seed drives curator-side randomness (sampling, synthesis).
-	Seed uint64
-	// RediscretizeEvery > 0 enables online adaptive re-discretization: every
-	// that many windows (W timestamps each), Finalize grows a fresh quadtree
-	// from the released synthetic stream — a privacy-free post-processing of
-	// the LDP outputs — and migrates the curator onto it when the layout
-	// distance crosses RelayoutThreshold. 0 (default) never rebuilds
-	// automatically; POST /v1/relayout still triggers a manual rebuild.
-	RediscretizeEvery int
-	// RelayoutThreshold is the minimum layout distance at which a rebuilt
-	// layout replaces the current one (default relayout.DefaultThreshold).
-	RelayoutThreshold float64
-	// RelayoutLeaves caps the rebuilt quadtrees' leaf budget (default: the
-	// boot discretizer's cell count). Requires Space to expose cell boxes
-	// (spatial.Boxed) when rebuilds are possible.
-	RelayoutLeaves int
-	// MonitorWindow is the utility monitor's sliding release-sketch length
-	// in timestamps (default W). The monitor is always on — like the
-	// metrics registry it is run-scoped post-processing and never enters
-	// checkpoints.
-	MonitorWindow int
-	// TriggerPolicy selects how relayout proposals turn into switches:
-	// geometric (default), degradation-or, or degradation-and
-	// (relayout.TriggerPolicy). Degradation policies consult the utility
-	// monitor's alarms.
-	TriggerPolicy relayout.TriggerPolicy
-}
-
-func (c *CuratorConfig) validate() error {
-	if c.Space == nil {
-		return fmt.Errorf("remote: Space (the spatial discretization) is required")
-	}
-	if c.W < 1 {
-		return fmt.Errorf("remote: W must be ≥ 1")
-	}
-	if c.RediscretizeEvery < 0 {
-		return fmt.Errorf("remote: RediscretizeEvery must be ≥ 0, got %d", c.RediscretizeEvery)
-	}
-	if c.RediscretizeEvery > 0 {
-		if !relayout.Migratable(c.Space) {
-			// Fail at construction, not at the first periodic rebuild inside
-			// Finalize — by then the round has already committed.
-			return fmt.Errorf("remote: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", c.Space)
-		}
-	}
-	if c.RelayoutThreshold < 0 || c.RelayoutThreshold >= 1 {
-		return fmt.Errorf("remote: RelayoutThreshold %v outside [0, 1)", c.RelayoutThreshold)
-	}
-	if c.RelayoutLeaves < 0 {
-		return fmt.Errorf("remote: RelayoutLeaves must be ≥ 0, got %d", c.RelayoutLeaves)
-	}
-	if c.MonitorWindow < 0 {
-		return fmt.Errorf("remote: MonitorWindow must be ≥ 0, got %d", c.MonitorWindow)
-	}
-	if c.MonitorWindow == 0 {
-		c.MonitorWindow = c.W
-	}
-	if err := c.TriggerPolicy.Validate(); err != nil {
-		return err
-	}
-	return nil
-}
+// CuratorConfig configures a Curator: the engine's core.Config. The curator
+// always runs the density tracker (POST /v1/relayout works without the
+// periodic cadence) and the utility monitor, whose window defaults to W.
+type CuratorConfig = core.Config
 
 // Assignment is the curator's answer to a sampled (or skipped) client.
 type Assignment struct {
@@ -169,35 +93,16 @@ type Curator struct {
 
 // NewCurator constructs the server-side engine.
 func NewCurator(cfg CuratorConfig) (*Curator, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+	cfg.MonitorWindow = cmp.Or(cfg.MonitorWindow, cfg.W) // /v1/health needs the monitor: 0 means W
 	reg := obs.NewRegistry()
-	eng, err := core.NewWire(core.Options{
-		Space:    cfg.Space,
-		Epsilon:  cfg.Epsilon,
-		W:        cfg.W,
-		Division: cfg.Division,
-		Strategy: cfg.Strategy,
-		Lambda:   cfg.Lambda,
-		Kappa:    cfg.Kappa,
-		Seed:     cfg.Seed,
-		Metrics:  reg,
-	})
+	eng, err := core.NewWire(core.Options{Config: cfg, Metrics: reg})
 	if err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
-	// The density tracker always runs (the manual /v1/relayout endpoint
-	// works without the periodic cadence) and so does the utility monitor:
-	// both only read public data — the released stream and the DP estimates
-	// — so they cost no budget and cannot perturb the protocol.
-	ctl, mon, err := core.NewLayoutControl(cfg.Space, &relayout.ControllerOptions{
-		Every:     cfg.RediscretizeEvery,
-		W:         cfg.W,
-		Threshold: cfg.RelayoutThreshold,
-		Quadtree:  spatial.QuadtreeOptions{MaxLeaves: cfg.RelayoutLeaves},
-		Trigger:   cfg.TriggerPolicy,
-	}, cfg.MonitorWindow, reg)
+	// The density tracker and the utility monitor only read public data —
+	// the released stream and the DP estimates — so they cost no budget and
+	// cannot perturb the protocol.
+	ctl, mon, err := core.NewLayoutControl(cfg, true, reg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"retrasyn/internal/allocation"
+	"retrasyn/internal/core"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/monitor"
 )
@@ -20,7 +21,7 @@ import (
 func TestCuratorMonitorGolden(t *testing.T) {
 	const want uint64 = 0x14d298487fd28460
 	cfg := goldenConfig(allocation.Population)
-	cfg.Strategy = &allocation.Uniform{Division: allocation.Population}
+	cfg.Strategy = core.StrategyUniform
 	cfg.MonitorWindow = 4
 	cur, err := NewCurator(cfg)
 	if err != nil {

@@ -118,7 +118,7 @@ func goldenConfig(div allocation.Division) CuratorConfig {
 		// pre-refactor curator wrongly applied under budget division had
 		// recycled everyone, so this hash is the same before and after that
 		// fix (TestCuratorBudgetDivisionReportsEveryone pins the fix itself).
-		cfg.Strategy = &allocation.Sample{Division: div}
+		cfg.Strategy = core.StrategySample
 	}
 	return cfg
 }
@@ -173,7 +173,7 @@ func TestCuratorBudgetDivisionReportsEveryone(t *testing.T) {
 	cfg := CuratorConfig{
 		Space: g, Epsilon: 1.0, W: 5, Lambda: 6, Seed: 3,
 		Division: allocation.Budget,
-		Strategy: &allocation.Uniform{Division: allocation.Budget},
+		Strategy: core.StrategyUniform,
 	}
 	cur, err := NewCurator(cfg)
 	if err != nil {
@@ -185,12 +185,7 @@ func TestCuratorBudgetDivisionReportsEveryone(t *testing.T) {
 		_, n := streamRound(t, cur, stream, ts, rng, nil)
 		present += n
 	}
-	eng, err := core.New(core.Options{
-		Space: g, Epsilon: cfg.Epsilon, W: cfg.W, Lambda: cfg.Lambda, Seed: cfg.Seed,
-		Division:   allocation.Budget,
-		Strategy:   &allocation.Uniform{Division: allocation.Budget},
-		OracleMode: core.Aggregate,
-	})
+	eng, err := core.New(core.Options{Config: cfg, OracleMode: core.Aggregate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,19 @@ type RawDataset struct {
 	Trajs []RawTrajectory
 }
 
+// Positions returns every location report of the dataset as a spatial
+// point — a quadtree density sketch. Only sketch public or historical data,
+// never the private stream the engine collects over.
+func (d *RawDataset) Positions() []spatial.Point {
+	pts := make([]spatial.Point, 0, d.NumPoints())
+	for _, tr := range d.Trajs {
+		for _, p := range tr.Points {
+			pts = append(pts, spatial.Point{X: p.X, Y: p.Y})
+		}
+	}
+	return pts
+}
+
 // NumPoints returns the total number of location reports in the dataset.
 func (d *RawDataset) NumPoints() int {
 	n := 0

@@ -131,15 +131,7 @@ func ParseFence(r io.Reader) ([]FencePolygon, error) {
 // DensitySketch extracts the raw points of a dataset as a quadtree density
 // sketch. Only feed it public or historical data — never the private stream
 // the engine will collect over.
-func DensitySketch(raw *RawDataset) []Point {
-	var pts []Point
-	for _, tr := range raw.Trajs {
-		for _, p := range tr.Points {
-			pts = append(pts, Point{X: p.X, Y: p.Y})
-		}
-	}
-	return pts
-}
+func DensitySketch(raw *RawDataset) []Point { return raw.Positions() }
 
 // Division selects how the privacy resource is split across timestamps.
 type Division = allocation.Division
@@ -153,16 +145,11 @@ const (
 	PopulationDivision = allocation.Population
 )
 
-// Strategy names accepted by Options.Strategy.
+// Strategy names accepted by Options.Strategy (see core.Config.Strategy).
 const (
-	// StrategyAdaptive is the paper's portion-based adaptive strategy
-	// (Eq. 10); the default.
-	StrategyAdaptive = "adaptive"
-	// StrategyUniform spreads resources evenly over the window.
-	StrategyUniform = "uniform"
-	// StrategySample spends the whole window's resources at its first
-	// timestamp.
-	StrategySample = "sample"
+	StrategyAdaptive = core.StrategyAdaptive
+	StrategyUniform  = core.StrategyUniform
+	StrategySample   = core.StrategySample
 )
 
 // Options configures a Framework.
@@ -295,127 +282,76 @@ type Framework struct {
 
 // New constructs a Framework.
 func New(opts Options) (*Framework, error) {
-	division := opts.Division
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("retrasyn: Shards must be ≥ 0, got %d", opts.Shards)
 	}
-	space, err := resolveSpace(opts)
+	eo, err := opts.engineOptions()
 	if err != nil {
 		return nil, err
-	}
-	mode := core.Aggregate
-	if opts.FaithfulClients {
-		mode = core.PerUser
-	}
-	newEngine := func(seed uint64, shard int) (*core.Engine, error) {
-		strategy, err := buildStrategy(opts.Strategy, division)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Options{
-			Space:        space,
-			Epsilon:      opts.Epsilon,
-			W:            opts.Window,
-			Division:     division,
-			Strategy:     strategy,
-			Lambda:       opts.Lambda,
-			DisableDMU:   opts.DisableDMU,
-			DisableEQ:    opts.DisableEQ,
-			OracleMode:   mode,
-			Seed:         seed,
-			Metrics:      opts.Metrics,
-			MetricsShard: shard,
-		})
-	}
-	if opts.RediscretizeEvery < 0 {
-		return nil, fmt.Errorf("retrasyn: RediscretizeEvery must be ≥ 0, got %d", opts.RediscretizeEvery)
-	}
-	if opts.MonitorWindow < 0 {
-		return nil, fmt.Errorf("retrasyn: MonitorWindow must be ≥ 0, got %d", opts.MonitorWindow)
-	}
-	if err := opts.TriggerPolicy.Validate(); err != nil {
-		return nil, err
-	}
-	var ctlOpts *relayout.ControllerOptions
-	if opts.RediscretizeEvery > 0 {
-		if !relayout.Migratable(space) {
-			return nil, fmt.Errorf("retrasyn: RediscretizeEvery needs a discretizer exposing cell geometry (grid, quadtree or geofence), got %T", space)
-		}
-		ctlOpts = &relayout.ControllerOptions{
-			Every:     opts.RediscretizeEvery,
-			W:         opts.Window,
-			Threshold: opts.RelayoutThreshold,
-			Quadtree:  spatial.QuadtreeOptions{MaxLeaves: opts.RelayoutLeaves},
-			Trigger:   opts.TriggerPolicy,
-		}
 	}
 	f := &Framework{seen: make(map[int]struct{})}
-	if f.ctl, f.mon, err = core.NewLayoutControl(space, ctlOpts, opts.MonitorWindow, opts.Metrics); err != nil {
-		return nil, err
-	}
-	if opts.TriggerPolicy.UsesAlarms() {
-		if f.ctl == nil {
-			return nil, fmt.Errorf("retrasyn: TriggerPolicy %q requires RediscretizeEvery > 0", opts.TriggerPolicy)
-		}
-		if f.mon == nil {
-			return nil, fmt.Errorf("retrasyn: TriggerPolicy %q requires MonitorWindow > 0 — the degradation trigger consumes the monitor's alarms", opts.TriggerPolicy)
-		}
-	}
-	if opts.Shards > 1 {
-		shards := make([]pipeline.Runner, opts.Shards)
-		f.engines = make([]*core.Engine, opts.Shards)
-		for i := range shards {
-			engine, err := newEngine(opts.Seed+uint64(i)*0x9e3779b97f4a7c15, i)
-			if err != nil {
-				return nil, err
-			}
-			shards[i] = engine
-			f.engines[i] = engine
-		}
-		coord, err := pipeline.NewCoordinator(shards)
+	shards := make([]pipeline.Runner, max(opts.Shards, 1))
+	for i := range shards {
+		o := eo
+		o.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
+		o.MetricsShard = i
+		engine, err := core.New(o)
 		if err != nil {
 			return nil, err
 		}
-		f.coord = coord
-		return f, nil
+		shards[i] = engine
+		f.engines = append(f.engines, engine)
 	}
-	engine, err := newEngine(opts.Seed, 0)
-	if err != nil {
+	if f.ctl, f.mon, err = core.NewLayoutControl(eo.Config, false, opts.Metrics); err != nil {
 		return nil, err
 	}
-	f.engine = engine
-	f.engines = []*core.Engine{engine}
+	if len(shards) == 1 {
+		f.engine = f.engines[0]
+		return f, nil
+	}
+	if f.coord, err = pipeline.NewCoordinator(shards); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-// resolveSpace picks the spatial discretization from the two Options
-// fields: exactly one of Grid and Discretizer must be set.
-func resolveSpace(opts Options) (Discretizer, error) {
+// engineOptions translates Options into the options of the first engine:
+// exactly one of Grid and Discretizer must be set, and everything else is
+// checked by core.
+func (o Options) engineOptions() (core.Options, error) {
+	space := o.Discretizer
 	switch {
-	case opts.Grid != nil && opts.Discretizer != nil:
-		return nil, fmt.Errorf("retrasyn: set exactly one of Options.Grid and Options.Discretizer, not both")
-	case opts.Discretizer != nil:
-		return opts.Discretizer, nil
-	case opts.Grid != nil:
-		return opts.Grid, nil
-	default:
-		return nil, fmt.Errorf("retrasyn: a spatial discretization is required — set Options.Grid or Options.Discretizer")
+	case o.Grid != nil && o.Discretizer != nil:
+		return core.Options{}, fmt.Errorf("retrasyn: set exactly one of Options.Grid and Options.Discretizer, not both")
+	case o.Grid != nil:
+		space = o.Grid
+	case o.Discretizer == nil:
+		return core.Options{}, fmt.Errorf("retrasyn: a spatial discretization is required — set Options.Grid or Options.Discretizer")
 	}
-}
-
-// buildStrategy instantiates a fresh strategy value — each shard engine
-// needs its own because strategies may hold state.
-func buildStrategy(name string, division Division) (allocation.Strategy, error) {
-	switch name {
-	case "", StrategyAdaptive:
-		return allocation.NewAdaptive(division), nil
-	case StrategyUniform:
-		return &allocation.Uniform{Division: division}, nil
-	case StrategySample:
-		return &allocation.Sample{Division: division}, nil
-	default:
-		return nil, fmt.Errorf("retrasyn: unknown strategy %q", name)
+	mode := core.Aggregate
+	if o.FaithfulClients {
+		mode = core.PerUser
 	}
+	return core.Options{
+		Config: core.Config{
+			Space:             space,
+			Epsilon:           o.Epsilon,
+			W:                 o.Window,
+			Division:          o.Division,
+			Strategy:          o.Strategy,
+			Lambda:            o.Lambda,
+			Seed:              o.Seed,
+			RediscretizeEvery: o.RediscretizeEvery,
+			RelayoutThreshold: o.RelayoutThreshold,
+			RelayoutLeaves:    o.RelayoutLeaves,
+			MonitorWindow:     o.MonitorWindow,
+			TriggerPolicy:     o.TriggerPolicy,
+		},
+		DisableDMU: o.DisableDMU,
+		DisableEQ:  o.DisableEQ,
+		OracleMode: mode,
+		Metrics:    o.Metrics,
+	}, nil
 }
 
 // ProcessTimestamp ingests one timestamp of user events (one transition

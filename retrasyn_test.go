@@ -152,6 +152,8 @@ func TestFrameworkOptionsValidation(t *testing.T) {
 	for i, o := range bad {
 		if _, err := New(o); err == nil {
 			t.Errorf("case %d accepted", i)
+		} else if o.Strategy != "" && !strings.Contains(err.Error(), o.Strategy) {
+			t.Errorf("case %d: error %v does not name strategy %q", i, err, o.Strategy)
 		}
 	}
 	// All valid strategies and divisions construct.
