@@ -227,7 +227,8 @@ type Ledger struct {
 	ReportsByUser map[int][]int
 }
 
-// NewLedger creates an empty ledger for a timeline of length T.
+// NewLedger creates an empty ledger for a timeline of length T; recording
+// past T grows it.
 func NewLedger(T int) *Ledger {
 	return &Ledger{
 		EpsByT:        make([]float64, T),
@@ -252,9 +253,13 @@ func (l *Ledger) Clone() *Ledger {
 }
 
 // RecordRound logs a collection round at timestamp t with per-user budget
-// eps and the reporting users.
+// eps and the reporting users. EpsByT grows to cover a t past the timeline
+// the ledger was created for.
 func (l *Ledger) RecordRound(t int, eps float64, users []int) {
-	if t >= 0 && t < len(l.EpsByT) {
+	if t >= len(l.EpsByT) {
+		l.EpsByT = append(l.EpsByT, make([]float64, t+1-len(l.EpsByT))...)
+	}
+	if t >= 0 {
 		l.EpsByT[t] += eps
 	}
 	for _, u := range users {

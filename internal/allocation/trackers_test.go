@@ -200,11 +200,17 @@ func TestLedgerMaxUserWindowSum(t *testing.T) {
 	}
 }
 
+// TestLedgerIgnoresOutOfRange: a round before the timeline is not recorded;
+// one past the ledger's T grows it (see TestLedgerCountsRoundsPastT in
+// internal/core).
 func TestLedgerIgnoresOutOfRange(t *testing.T) {
 	l := NewLedger(5)
 	l.RecordRound(-1, 1.0, nil)
-	l.RecordRound(99, 1.0, nil)
 	if got := l.MaxWindowSum(5); got != 0 {
 		t.Fatalf("out-of-range rounds recorded: %v", got)
+	}
+	l.RecordRound(99, 1.0, nil)
+	if len(l.EpsByT) != 100 || l.MaxWindowSum(5) != 1.0 {
+		t.Fatalf("round past T dropped: %d timestamps, window sum %v", len(l.EpsByT), l.MaxWindowSum(5))
 	}
 }

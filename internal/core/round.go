@@ -209,7 +209,7 @@ func (e *Engine) Close(t int, col Collected, quitters []int, activeCount int) (S
 	// Alg. 1 line 8 (after the potential final q_j report): retire quitters.
 	if e.users != nil {
 		for _, id := range quitters {
-			e.users.MarkQuitted(id)
+			e.users.MarkQuitted(id, t)
 		}
 	}
 	// Window accounting for budget division records actual expenditure.

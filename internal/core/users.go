@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // userStatus mirrors Algorithm 1's user lifecycle: active users are eligible
 // for sampling; inactive users have reported within the current window and
@@ -17,13 +20,21 @@ const (
 // allocation (paper §III-E/F): it registers arrivals, marks reporters
 // inactive, recycles them once they fall outside the sliding window
 // (Alg. 1 line 9), and retires quitted users.
+//
+// The roster holds only the users who can still matter: a quitted user is
+// forgotten w timestamps after its quit. Its last report lies at or before
+// the quit, so no window that contains a later round also contains that
+// report; an id that shows up again is a new arrival.
 type UserTracker struct {
 	w      int
 	status map[int]userStatus
 	// reported[t % w] holds the users who reported at timestamp t; they are
 	// recycled when timestamp t+w begins.
 	reported [][]int
-	active   int
+	// quits[t % w] holds the users who quitted at timestamp t; they are
+	// forgotten when timestamp t+w begins. A user has at most one entry.
+	quits  [][]int
+	active int
 }
 
 // NewUserTracker creates a tracker for window size w.
@@ -35,11 +46,13 @@ func NewUserTracker(w int) *UserTracker {
 		w:        w,
 		status:   make(map[int]userStatus),
 		reported: make([][]int, w),
+		quits:    make([][]int, w),
 	}
 }
 
-// BeginTimestamp recycles the users who reported at t−w: inactive users
-// become active again; quitted users stay quitted.
+// BeginTimestamp recycles the users who reported at t−w — inactive users
+// become active again, quitted users stay quitted — and then forgets the
+// users who quitted at t−w.
 func (u *UserTracker) BeginTimestamp(t int) {
 	slot := t % u.w
 	for _, id := range u.reported[slot] {
@@ -49,6 +62,12 @@ func (u *UserTracker) BeginTimestamp(t int) {
 		}
 	}
 	u.reported[slot] = u.reported[slot][:0]
+	for _, id := range u.quits[slot] {
+		if u.status[id] == statusQuitted {
+			delete(u.status, id)
+		}
+	}
+	u.quits[slot] = u.quits[slot][:0]
 }
 
 // Admit registers a user on first sight — unknown users arrive active
@@ -70,7 +89,7 @@ func (u *UserTracker) NumActive() int { return u.active }
 // MarkReported transitions a sampled user to inactive until recycled at
 // t+w (Alg. 1 line 14).
 func (u *UserTracker) MarkReported(id, t int) {
-	if u.status[id] == statusActive {
+	if s, ok := u.status[id]; ok && s == statusActive {
 		u.active--
 	}
 	u.status[id] = statusInactive
@@ -78,20 +97,59 @@ func (u *UserTracker) MarkReported(id, t int) {
 	u.reported[slot] = append(u.reported[slot], id)
 }
 
-// MarkQuitted retires a user permanently (Alg. 1 line 8). Quitted users are
-// never recycled.
-func (u *UserTracker) MarkQuitted(id int) {
-	if u.status[id] == statusActive {
+// MarkQuitted retires a user at timestamp t (Alg. 1 line 8): it is never
+// recycled, and is forgotten when timestamp t+w begins. Quitting a user who
+// is already quitted changes nothing — in particular not the round it is
+// forgotten at, which a second ring entry would bring forward into the
+// window of a report made after a re-admission.
+func (u *UserTracker) MarkQuitted(id, t int) {
+	s, ok := u.status[id]
+	if ok && s == statusQuitted {
+		return
+	}
+	if ok && s == statusActive {
 		u.active--
 	}
 	u.status[id] = statusQuitted
+	slot := t % u.w
+	u.quits[slot] = append(u.quits[slot], id)
 }
 
-// UserTrackerState is the serializable form of a UserTracker.
+// FirstRepeat returns the index of the first item whose id repeats an
+// earlier item's, or -1 when every id is distinct. It sorts a copy of the
+// ids in scratch, caller-owned and returned grown for reuse, and scans
+// neighbours; ids that arrive sorted cost one linear pass. Only when a
+// repeat exists does it walk items again to find the first one in input
+// order.
+func FirstRepeat[T any](items []T, id func(T) int, scratch []int) (int, []int) {
+	scratch = scratch[:0]
+	for _, it := range items {
+		scratch = append(scratch, id(it))
+	}
+	slices.Sort(scratch)
+	for i := 1; i < len(scratch); i++ {
+		if scratch[i] == scratch[i-1] {
+			seen := make(map[int]struct{}, len(items))
+			for j, it := range items {
+				if _, dup := seen[id(it)]; dup {
+					return j, scratch
+				}
+				seen[id(it)] = struct{}{}
+			}
+		}
+	}
+	return -1, scratch
+}
+
+// UserTrackerState is the serializable form of a UserTracker. Quits is
+// written only while some user awaits forgetting; a checkpoint without it
+// (written before quitted users were forgotten) restores with an empty ring,
+// and its quitted users stay quitted for good.
 type UserTrackerState struct {
 	W        int           `json:"w"`
 	Status   map[int]uint8 `json:"status"`
 	Reported [][]int       `json:"reported"`
+	Quits    [][]int       `json:"quits,omitempty"`
 	Active   int           `json:"active"`
 }
 
@@ -109,24 +167,59 @@ func (u *UserTracker) State() UserTrackerState {
 	for i, ids := range u.reported {
 		st.Reported[i] = append([]int(nil), ids...)
 	}
+	if slices.ContainsFunc(u.quits, func(ids []int) bool { return len(ids) > 0 }) {
+		st.Quits = make([][]int, len(u.quits))
+		for i, ids := range u.quits {
+			st.Quits[i] = append([]int(nil), ids...)
+		}
+	}
 	return st
 }
 
 // Restore replaces the tracker's state with a previously exported one. The
-// window size must match.
+// window size must match, every status must be known, Active must count the
+// active users, and every quit-ring entry must name a quitted user once. On
+// error the tracker is unchanged.
 func (u *UserTracker) Restore(st UserTrackerState) error {
 	if st.W != u.w || len(st.Reported) != u.w {
 		return fmt.Errorf("core: UserTracker.Restore window %d (slots %d) ≠ w %d", st.W, len(st.Reported), u.w)
 	}
-	u.status = make(map[int]userStatus, len(st.Status))
+	if st.Quits != nil && len(st.Quits) != u.w {
+		return fmt.Errorf("core: UserTracker.Restore quit ring has %d slots ≠ w %d", len(st.Quits), u.w)
+	}
+	status := make(map[int]userStatus, len(st.Status))
+	active := 0
 	for id, s := range st.Status {
 		if s > uint8(statusQuitted) {
 			return fmt.Errorf("core: UserTracker.Restore invalid status %d for user %d", s, id)
 		}
-		u.status[id] = userStatus(s)
+		if userStatus(s) == statusActive {
+			active++
+		}
+		status[id] = userStatus(s)
 	}
+	if active != st.Active {
+		return fmt.Errorf("core: UserTracker.Restore active count %d ≠ %d active users in the roster", st.Active, active)
+	}
+	var ring []int
+	for _, ids := range st.Quits {
+		for _, id := range ids {
+			if status[id] != statusQuitted {
+				return fmt.Errorf("core: UserTracker.Restore quit ring holds user %d, which is not quitted", id)
+			}
+		}
+		ring = append(ring, ids...)
+	}
+	if i, _ := FirstRepeat(ring, func(id int) int { return id }, nil); i >= 0 {
+		return fmt.Errorf("core: UserTracker.Restore quit ring holds user %d twice", ring[i])
+	}
+	u.status = status
 	for i := range u.reported {
 		u.reported[i] = append([]int(nil), st.Reported[i]...)
+		u.quits[i] = nil
+		if st.Quits != nil {
+			u.quits[i] = append([]int(nil), st.Quits[i]...)
+		}
 	}
 	u.active = st.Active
 	return nil

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"retrasyn/internal/allocation"
@@ -44,7 +47,7 @@ func TestUserTrackerQuitNotRecycled(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(7)
 	u.MarkReported(7, 0)
-	u.MarkQuitted(7)
+	u.MarkQuitted(7, 0)
 	u.BeginTimestamp(2) // would recycle a non-quitted user
 	if isActive(u, 7) {
 		t.Fatal("quitted user recycled")
@@ -57,12 +60,12 @@ func TestUserTrackerQuitNotRecycled(t *testing.T) {
 func TestUserTrackerQuitWhileActive(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(3)
-	u.MarkQuitted(3)
+	u.MarkQuitted(3, 0)
 	if u.NumActive() != 0 {
 		t.Fatalf("active = %d", u.NumActive())
 	}
 	// Quitting twice stays consistent.
-	u.MarkQuitted(3)
+	u.MarkQuitted(3, 0)
 	if u.NumActive() != 0 {
 		t.Fatalf("active after double quit = %d", u.NumActive())
 	}
@@ -127,7 +130,7 @@ func TestUserTrackerAdmit(t *testing.T) {
 		u.Admit(2) // reported at t=0: inactive
 		u.MarkReported(2, 0)
 		u.Admit(3) // quitted
-		u.MarkQuitted(3)
+		u.MarkQuitted(3, 0)
 	}
 	tests := []struct {
 		name       string
@@ -202,5 +205,209 @@ func TestPlanAdmitsUsersKeepDrops(t *testing.T) {
 	}
 	if e.users.NumActive() != len(ids) {
 		t.Fatalf("NumActive = %d, want %d", e.users.NumActive(), len(ids))
+	}
+}
+
+// TestUserTrackerForgetsQuitted: a user quitted at t stays quitted — known
+// and never sampleable — through t+w−1 and is forgotten when t+w begins; an
+// id that shows up again is then a new arrival.
+func TestUserTrackerForgetsQuitted(t *testing.T) {
+	const w = 3
+	u := NewUserTracker(w)
+	u.Admit(5)
+	u.MarkReported(5, 0)
+	u.MarkQuitted(5, 0)
+	for tt := 1; tt < w; tt++ {
+		u.BeginTimestamp(tt)
+		if u.Admit(5) {
+			t.Fatalf("t=%d: quitted user admitted", tt)
+		}
+	}
+	u.BeginTimestamp(w)
+	if _, known := u.status[5]; known {
+		t.Fatalf("quitted user still held at t+w: %v", u.State())
+	}
+	if !u.Admit(5) || u.NumActive() != 1 {
+		t.Fatalf("reappearing id not a new arrival: active=%d", u.NumActive())
+	}
+}
+
+// TestUserTrackerRequitKeepsForgetRound pins the stale-entry trap: a
+// flapping user quits at 1, reappears, is quitted again at 3, is forgotten
+// at 1+w, re-admitted, reports and quits at 1+w. A second quit-ring entry
+// from t=3 would forget it at 3+w, inside its report's window.
+func TestUserTrackerRequitKeepsForgetRound(t *testing.T) {
+	const w = 5
+	u := NewUserTracker(w)
+	u.BeginTimestamp(0)
+	u.Admit(9)
+	u.MarkReported(9, 0)
+	u.BeginTimestamp(1)
+	u.MarkQuitted(9, 1)
+	for tt := 2; tt <= 1+w; tt++ {
+		u.BeginTimestamp(tt)
+		admitted := u.Admit(9)
+		if tt == 3 {
+			u.MarkQuitted(9, tt)
+		}
+		if want := tt == 1+w; admitted != want {
+			t.Fatalf("t=%d: Admit = %v, want %v", tt, admitted, want)
+		}
+	}
+	u.MarkReported(9, 1+w)
+	u.MarkQuitted(9, 1+w)
+	for tt := 2 + w; tt < 1+2*w; tt++ {
+		u.BeginTimestamp(tt)
+		if u.Admit(9) {
+			t.Fatalf("t=%d: user re-admitted within the window of its report at %d", tt, 1+w)
+		}
+	}
+	if n := len(slices.Concat(u.quits...)); n != 1 {
+		t.Fatalf("quit ring holds %d entries, want 1", n)
+	}
+}
+
+// TestUserTrackerQuitUnknown: an inferred quit of an id the roster does not
+// hold (a forgotten user) must not touch the active count.
+func TestUserTrackerQuitUnknown(t *testing.T) {
+	u := NewUserTracker(2)
+	u.Admit(1)
+	u.MarkQuitted(42, 0)
+	if u.NumActive() != 1 {
+		t.Fatalf("active = %d after quitting an unknown id, want 1", u.NumActive())
+	}
+	u.BeginTimestamp(2)
+	if _, known := u.status[42]; known || len(u.status) != 1 {
+		t.Fatalf("unknown quitter not forgotten: %v", u.State())
+	}
+}
+
+// TestUserTrackerStateQuitRing: the quit ring is written only while it holds
+// a user, survives a JSON round trip, and a ring-less state restores with an
+// empty ring.
+func TestUserTrackerStateQuitRing(t *testing.T) {
+	u := NewUserTracker(3)
+	u.Admit(1)
+	if st := u.State(); st.Quits != nil {
+		t.Fatalf("empty ring exported: %v", st.Quits)
+	}
+	u.MarkQuitted(1, 4)
+	blob, err := json.Marshal(u.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st UserTrackerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	v := NewUserTracker(3)
+	if err := v.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.State(), u.State()) {
+		t.Fatalf("restored %+v, want %+v", v.State(), u.State())
+	}
+	v.BeginTimestamp(7)
+	if _, known := v.status[1]; known {
+		t.Fatal("restored ring did not forget the quitter")
+	}
+
+	st.Quits = nil // a checkpoint written before the ring existed
+	if err := v.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	v.BeginTimestamp(7)
+	if s, known := v.status[1]; !known || s != statusQuitted {
+		t.Fatal("ring-less checkpoint's quitter must stay quitted")
+	}
+}
+
+// restoreRejects restores st into a tracker holding one active user and
+// requires an error naming want that leaves the tracker unchanged.
+func restoreRejects(t *testing.T, st UserTrackerState, want string) {
+	t.Helper()
+	u := NewUserTracker(len(st.Reported))
+	u.Admit(100)
+	before := u.State()
+	err := u.Restore(st)
+	if err == nil {
+		t.Fatal("corrupt roster restored")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if !reflect.DeepEqual(u.State(), before) {
+		t.Fatal("rejected restore changed the tracker")
+	}
+}
+
+func validRoster() UserTrackerState {
+	return UserTrackerState{
+		W:        3,
+		Status:   map[int]uint8{1: uint8(statusActive), 2: uint8(statusInactive), 3: uint8(statusQuitted), 4: uint8(statusQuitted)},
+		Reported: [][]int{{2}, nil, nil},
+		Quits:    [][]int{nil, {3}, {4}},
+		Active:   1,
+	}
+}
+
+func TestUserTrackerRestoreRejectsActiveCount(t *testing.T) {
+	st := validRoster()
+	st.Active = 2
+	restoreRejects(t, st, "active count 2 ≠ 1")
+}
+
+func TestUserTrackerRestoreRejectsRingLength(t *testing.T) {
+	st := validRoster()
+	st.Quits = st.Quits[:2]
+	restoreRejects(t, st, "quit ring has 2 slots ≠ w 3")
+}
+
+func TestUserTrackerRestoreRejectsRingNotQuitted(t *testing.T) {
+	st := validRoster()
+	st.Quits[0] = []int{2}
+	restoreRejects(t, st, "user 2, which is not quitted")
+	st.Quits[0] = []int{77}
+	restoreRejects(t, st, "user 77, which is not quitted")
+}
+
+func TestUserTrackerRestoreRejectsRingDuplicate(t *testing.T) {
+	st := validRoster()
+	st.Quits[0] = []int{4}
+	restoreRejects(t, st, "user 4 twice")
+}
+
+func TestUserTrackerRestoreValidRoster(t *testing.T) {
+	u := NewUserTracker(3)
+	if err := u.Restore(validRoster()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(u.State(), validRoster()) {
+		t.Fatalf("restored %+v", u.State())
+	}
+}
+
+func TestFirstRepeat(t *testing.T) {
+	id := func(v int) int { return v }
+	tests := []struct {
+		ids  []int
+		want int
+	}{
+		{nil, -1},
+		{[]int{4}, -1},
+		{[]int{1, 2, 3, 9}, -1},
+		{[]int{9, 3, 1, 2}, -1},
+		{[]int{1, 2, 2, 3}, 2},
+		// The first repeat in input order, not the smallest repeated id.
+		{[]int{3, 5, 5, 3}, 2},
+		{[]int{5, 3, 3, 5}, 2},
+		{[]int{7, 1, 2, 7}, 3},
+	}
+	var scratch []int
+	for _, tt := range tests {
+		var got int
+		if got, scratch = FirstRepeat(tt.ids, id, scratch); got != tt.want {
+			t.Fatalf("FirstRepeat(%v) = %d, want %d", tt.ids, got, tt.want)
+		}
 	}
 }

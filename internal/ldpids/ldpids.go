@@ -197,7 +197,7 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 	if e.users != nil {
 		for _, ev := range events {
 			if ev.State.Kind == transition.Quit {
-				e.users.MarkQuitted(ev.User)
+				e.users.MarkQuitted(ev.User, t)
 			}
 		}
 	}

@@ -81,6 +81,7 @@ type Curator struct {
 	foldedPacked   bool  // a packed batch was folded this round
 	presenceEvents int64
 	idBuf          []int // Plan's pool scratch
+	dupBuf         []int // admitLocked's duplicate-check scratch
 
 	// Observability (always on, run-scoped — never checkpointed). reg is the
 	// registry NewHandler serves at GET /metrics; the engine records its
@@ -230,12 +231,11 @@ func (c *Curator) admitLocked(t int, users []int) error {
 	if !c.openAt(t) {
 		return fmt.Errorf("remote: report outside an open round")
 	}
-	seen := make(map[int]struct{}, len(users))
+	var dup int
+	if dup, c.dupBuf = core.FirstRepeat(users, func(u int) int { return u }, c.dupBuf); dup >= 0 {
+		return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", dup, users[dup])
+	}
 	for i, u := range users {
-		if _, dup := seen[u]; dup {
-			return fmt.Errorf("remote: batch entry %d: duplicate report for user %d", i, u)
-		}
-		seen[u] = struct{}{}
 		if !c.assignments[u].Report {
 			return fmt.Errorf("remote: batch entry %d: user %d was not sampled at timestamp %d", i, u, t)
 		}
@@ -414,13 +414,15 @@ func (c *Curator) Finalize(t, activeCount int) error {
 		}
 	}
 	// Quit inference: users present at t−1 but silent at t have stopped
-	// sharing.
+	// sharing. Map order is random; the roster's quit ring, and so the
+	// checkpoint, keeps the order given, so sort it.
 	var quitters []int
 	for id := range c.prevPresent {
 		if !c.present[id] {
 			quitters = append(quitters, id)
 		}
 	}
+	slices.Sort(quitters)
 	res, err := c.eng.Close(t, col, quitters, activeCount)
 	if err != nil {
 		return c.roundError("finalize", t, fmt.Errorf("remote: %w", err))

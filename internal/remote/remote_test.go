@@ -223,23 +223,37 @@ func TestClientStateAt(t *testing.T) {
 	}
 }
 
+// TestQuitInference: a device present at t_q−1 and silent at t_q is
+// inferred to have quit at t_q. A confused device that keeps reappearing is
+// not sampleable for rounds t_q+1 … t_q+w−1; from t_q+w on it is forgotten
+// and re-admitted as a new arrival — its last report lies at or before t_q,
+// outside every window that contains the re-admission round.
 func TestQuitInference(t *testing.T) {
 	g := testGrid()
-	cur, _ := NewCurator(testConfig(g))
-	// User 1 present at t=0, silent at t=1 → quitted; it must not be
-	// sampleable at t=2 even after recycling windows pass.
+	cfg := testConfig(g)
+	cur, _ := NewCurator(cfg)
 	cur.PresenceBatch([]int{1}, 0)
 	cur.Plan(0)
 	cur.Finalize(0, 1)
-	cur.Plan(1)
-	cur.Finalize(1, 0)
-	for ts := 2; ts < 10; ts++ {
+	const tq = 1
+	cur.Plan(tq)
+	cur.Finalize(tq, 0)
+	for ts := tq + 1; ts <= tq+cfg.W; ts++ {
 		cur.PresenceBatch([]int{1}, ts) // a confused device reappears
-		cur.Plan(ts)
-		a, _ := assignmentFor(cur, 1, ts)
-		if a.Report {
-			t.Fatalf("quitted user sampled at t=%d", ts)
+		if err := cur.Plan(ts); err != nil {
+			t.Fatal(err)
 		}
-		cur.Finalize(ts, 0)
+		round, _ := cur.eng.Open()
+		a, _ := assignmentFor(cur, 1, ts)
+		if readmitted := ts >= tq+cfg.W; readmitted {
+			if round.Pool != 1 || !a.Report {
+				t.Fatalf("t=%d: pool %d, sampled %v — want the forgotten user re-admitted and sampled", ts, round.Pool, a.Report)
+			}
+		} else if round.Pool != 0 || a.Report {
+			t.Fatalf("quitted user pooled (%d) or sampled (%v) at t=%d", round.Pool, a.Report, ts)
+		}
+		if err := cur.Finalize(ts, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

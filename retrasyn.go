@@ -276,8 +276,9 @@ type Framework struct {
 	// 0): run-scoped, RNG-free and excluded from checkpoints.
 	mon *monitor.Monitor
 	t   int
-	// seen is ProcessTimestamp's duplicate-user scratch, cleared per call.
-	seen map[int]struct{}
+	// ids is ProcessTimestamp's duplicate-check scratch: the round's user
+	// ids, sorted.
+	ids []int
 }
 
 // New constructs a Framework.
@@ -289,7 +290,7 @@ func New(opts Options) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Framework{seen: make(map[int]struct{})}
+	f := &Framework{}
 	shards := make([]pipeline.Runner, max(opts.Shards, 1))
 	for i := range shards {
 		o := eo
@@ -369,12 +370,9 @@ func (f *Framework) ProcessTimestamp(events []Event, activeUsers int) error {
 	if activeUsers < 0 {
 		return fmt.Errorf("retrasyn: ProcessTimestamp(t=%d): activeUsers must be ≥ 0, got %d", f.t, activeUsers)
 	}
-	clear(f.seen)
-	for _, ev := range events {
-		if _, dup := f.seen[ev.User]; dup {
-			return fmt.Errorf("retrasyn: ProcessTimestamp(t=%d): duplicate event for user %d — each user reports at most one transition state per timestamp", f.t, ev.User)
-		}
-		f.seen[ev.User] = struct{}{}
+	var dup int
+	if dup, f.ids = core.FirstRepeat(events, func(ev Event) int { return ev.User }, f.ids); dup >= 0 {
+		return fmt.Errorf("retrasyn: ProcessTimestamp(t=%d): duplicate event for user %d — each user reports at most one transition state per timestamp", f.t, events[dup].User)
 	}
 	if f.coord != nil {
 		if _, err := f.coord.ProcessTimestamp(f.t, events, activeUsers); err != nil {
