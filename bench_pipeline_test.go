@@ -1,9 +1,9 @@
 package retrasyn
 
-// Benchmarks of the curator aggregation hot path: the sequential sparse
-// fold, the sharded sparse fold and the bit-packed word-parallel fold
-// (carry-save popcount network) — plus the multi-shard Coordinator against a
-// single pipeline instance. Run with
+// Benchmarks of the curator aggregation hot path: the bit-packed
+// word-parallel fold (carry-save popcount network) against the sequential
+// per-report index-list fold it replaced — plus the multi-shard Coordinator
+// against a single pipeline instance. Run with
 //
 //	go test -bench 'Aggregation|Coordinator' -run - .
 //
@@ -62,13 +62,15 @@ func benchRoundOnce() *ldp.OUE {
 	return benchRound.oracle
 }
 
-func runOUESparse(b *testing.B, workers int) {
+func runOUESequential(b *testing.B) {
 	oracle := benchRoundOnce()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg := ldp.NewAggregator(oracle)
-		agg.AddReports(benchRound.reports, workers)
+		for _, r := range benchRound.reports {
+			agg.Add(r)
+		}
 		agg.EstimateAll()
 	}
 }
@@ -85,12 +87,8 @@ func runOUEPacked(b *testing.B, workers int) {
 }
 
 // BenchmarkOUEAggregationSequential folds one 100k-report round with the
-// sequential per-report sparse loop the monolithic engine used.
-func BenchmarkOUEAggregationSequential(b *testing.B) { runOUESparse(b, 1) }
-
-// BenchmarkOUEAggregationSharded folds the same round's sparse reports
-// sharded across runtime.NumCPU() workers.
-func BenchmarkOUEAggregationSharded(b *testing.B) { runOUESparse(b, runtime.NumCPU()) }
+// sequential per-report index-list loop the monolithic engine used.
+func BenchmarkOUEAggregationSequential(b *testing.B) { runOUESequential(b) }
 
 // BenchmarkOUEAggregationPacked folds the same round bit-packed through the
 // word-parallel carry-save popcount network.
@@ -215,7 +213,9 @@ func TestEmitBenchPipelineJSON(t *testing.T) {
 	// bit-identical estimates before trusting any throughput number.
 	oracle := benchRoundOnce()
 	seqAgg := ldp.NewAggregator(oracle)
-	seqAgg.AddReports(benchRound.reports, 1)
+	for _, r := range benchRound.reports {
+		seqAgg.Add(r)
+	}
 	packedAgg := ldp.NewAggregator(oracle)
 	packedAgg.AddPackedBatch(benchRound.packed, runtime.NumCPU())
 	if !reflect.DeepEqual(seqAgg.EstimateAll(), packedAgg.EstimateAll()) {
@@ -225,16 +225,14 @@ func TestEmitBenchPipelineJSON(t *testing.T) {
 	levels := gomaxprocsLevels()
 	var results []benchEntry
 
-	seq := measure("OUEAggregationSequential/100k-reports", 1, 1, benchReports, func(b *testing.B) { runOUESparse(b, 1) })
+	seq := measure("OUEAggregationSequential/100k-reports", 1, 1, benchReports, runOUESequential)
 	results = append(results, seq)
 	var bestPacked benchEntry
 	for _, l := range levels {
 		l := l
-		sharded := measure("OUEAggregationSharded/100k-reports", l, l, benchReports, func(b *testing.B) { runOUESparse(b, l) })
-		rel(&sharded, seq)
 		packed := measure("OUEAggregationPacked/100k-reports", l, l, benchReports, func(b *testing.B) { runOUEPacked(b, l) })
 		rel(&packed, seq)
-		results = append(results, sharded, packed)
+		results = append(results, packed)
 		if packed.ReportsSec > bestPacked.ReportsSec {
 			bestPacked = packed
 		}

@@ -18,7 +18,7 @@
 //	POST /v1/presence    presence frame: t + users
 //	POST /v1/plan        {t}
 //	POST /v1/assignments assignments frame: t + users — the assignment poll
-//	POST /v1/report      report frame: a sparse or bit-packed batch
+//	POST /v1/report      report frame: a bit-packed (or index-list) batch
 //	POST /v1/finalize    {t, active}
 //	GET  /v1/synthetic
 //	GET  /v1/stats      — rounds, reports, stage wall time, layout status

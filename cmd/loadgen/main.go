@@ -320,53 +320,41 @@ func eachGateway(n int, fn func(i int) error) error {
 type devicePool struct {
 	dom     *transition.Domain
 	rng     ldp.Rand
-	oracles map[float64]budgetOracle
-	row     ldp.PackedReport // word buffer every dense report is drawn into
-}
-
-// budgetOracle is the oracle of one per-report budget and whether rounds at
-// that budget are dense (ldp.PreferPacked).
-type budgetOracle struct {
-	*ldp.OUE
-	dense bool
+	oracles map[float64]*ldp.OUE
+	row     ldp.PackedReport // word buffer every report is drawn into
 }
 
 func newDevicePool(dom *transition.Domain, rng ldp.Rand) *devicePool {
-	return &devicePool{dom: dom, rng: rng, oracles: map[float64]budgetOracle{}, row: make(ldp.PackedReport, ldp.PackedWords(dom.Size()))}
+	return &devicePool{dom: dom, rng: rng, oracles: map[float64]*ldp.OUE{}, row: make(ldp.PackedReport, ldp.PackedWords(dom.Size()))}
 }
 
-// perturb randomizes the state of every user the round sampled. A dense
-// round (ldp.PreferPacked; ε is uniform within a round) perturbs straight
+// perturb randomizes the state of every user the round sampled straight
 // into the wire payload — word buffer → PackedBatchReport.Bits — with the
 // draws, and so the bytes, of the index-list route through
-// remote.PackReportBatch; a sparse round keeps the index lists.
-func (p *devicePool) perturb(users []int, states []transition.State, as []remote.Assignment) (packed []remote.PackedBatchReport, sparse []remote.BatchReport, err error) {
+// remote.PackReportBatch.
+func (p *devicePool) perturb(users []int, states []transition.State, as []remote.Assignment) ([]remote.PackedBatchReport, error) {
 	d := p.dom.Size()
+	var packed []remote.PackedBatchReport
 	for j, a := range as {
 		if !a.Report {
 			continue
 		}
 		idx, ok := p.dom.Index(states[j])
 		if !ok {
-			return nil, nil, fmt.Errorf("state %v for user %d escaped the domain filter", states[j], users[j])
+			return nil, fmt.Errorf("state %v for user %d escaped the domain filter", states[j], users[j])
 		}
 		oracle, ok := p.oracles[a.Epsilon]
 		if !ok {
-			o, err := ldp.NewOUE(d, a.Epsilon)
-			if err != nil {
-				return nil, nil, err
+			var err error
+			if oracle, err = ldp.NewOUE(d, a.Epsilon); err != nil {
+				return nil, err
 			}
-			oracle = budgetOracle{o, ldp.PreferPacked(d, a.Epsilon)}
 			p.oracles[a.Epsilon] = oracle
 		}
-		if oracle.dense {
-			oracle.PerturbPackedInto(p.rng, idx, p.row)
-			packed = append(packed, remote.PackedBatchReport{User: users[j], Bits: p.row.Bytes(d)})
-		} else {
-			sparse = append(sparse, remote.BatchReport{User: users[j], Ones: oracle.Perturb(p.rng, idx)})
-		}
+		oracle.PerturbPackedInto(p.rng, idx, p.row)
+		packed = append(packed, remote.PackedBatchReport{User: users[j], Bits: p.row.Bytes(d)})
 	}
-	return packed, sparse, nil
+	return packed, nil
 }
 
 // replayHTTP drives the full wire protocol against a live curator.
@@ -439,24 +427,19 @@ func (r *run) replayHTTP(baseURL string, report *benchReport) error {
 				return err
 			}
 			assignmentsLat.Observe(time.Since(start))
-			packed, sparse, err := devices[i].perturb(users[i], states[i], as)
+			packed, err := devices[i].perturb(users[i], states[i], as)
 			if err != nil {
 				return err
 			}
-			if len(packed)+len(sparse) == 0 {
+			if len(packed) == 0 {
 				return nil
 			}
 			start = time.Now()
-			if len(packed) > 0 {
-				err = gws[i].ReportPacked(t, d, packed)
-			} else {
-				err = gws[i].ReportBatch(t, sparse)
-			}
-			if err != nil {
+			if err := gws[i].ReportPacked(t, d, packed); err != nil {
 				return err
 			}
 			reportLat.Observe(time.Since(start))
-			sent[i] = int64(len(packed) + len(sparse))
+			sent[i] = int64(len(packed))
 			return nil
 		})
 		if err != nil {

@@ -106,7 +106,8 @@ func TestReplayGatewaysShareHistograms(t *testing.T) {
 // TestDevicePoolPacksStraightOntoTheWire pins the dense round's shortcut —
 // PerturbPackedInto on the reused word buffer → Bits — to the route it
 // replaced: the same seed through Perturb → remote.PackReportBatch yields the
-// same bytes, report for report. A sparse round (ε=8) keeps index lists.
+// same bytes, report for report, at every budget — ε=8 included, where an
+// index list would be the smaller encoding.
 func TestDevicePoolPacksStraightOntoTheWire(t *testing.T) {
 	g, err := retrasyn.NewGrid(6, retrasyn.Bounds{MaxX: 1, MaxY: 1})
 	if err != nil {
@@ -123,34 +124,28 @@ func TestDevicePoolPacksStraightOntoTheWire(t *testing.T) {
 		as = append(as, remote.Assignment{Report: u%5 != 0, Epsilon: 1})
 	}
 
-	pool := newDevicePool(dom, ldp.NewSource(5, 6))
-	packed, sparse, err := pool.perturb(users, states, as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sparse) != 0 || len(packed) == 0 {
-		t.Fatalf("dense round produced %d packed, %d sparse reports", len(packed), len(sparse))
-	}
-	rng, oracle := ldp.NewSource(5, 6), ldp.MustOUE(d, 1)
-	var reports []remote.BatchReport
-	for j, a := range as {
-		if a.Report {
-			idx, _ := dom.Index(states[j])
-			reports = append(reports, remote.BatchReport{User: users[j], Ones: oracle.Perturb(rng, idx)})
+	for _, eps := range []float64{1, 8} {
+		for j := range as {
+			as[j].Epsilon = eps
 		}
-	}
-	want, err := remote.PackReportBatch(reports, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(packed, want) {
-		t.Fatal("straight-to-wire payloads differ from the ones→pack route")
-	}
-
-	for j := range as {
-		as[j].Epsilon = 8
-	}
-	if packed, sparse, err = pool.perturb(users, states, as); err != nil || len(packed) != 0 || len(sparse) != len(want) {
-		t.Fatalf("sparse round produced %d packed, %d sparse reports (err %v)", len(packed), len(sparse), err)
+		packed, err := newDevicePool(dom, ldp.NewSource(5, 6)).perturb(users, states, as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng, oracle := ldp.NewSource(5, 6), ldp.MustOUE(d, eps)
+		var reports []remote.BatchReport
+		for j, a := range as {
+			if a.Report {
+				idx, _ := dom.Index(states[j])
+				reports = append(reports, remote.BatchReport{User: users[j], Ones: oracle.Perturb(rng, idx)})
+			}
+		}
+		want, err := remote.PackReportBatch(reports, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(packed) == 0 || !reflect.DeepEqual(packed, want) {
+			t.Fatalf("ε=%v: straight-to-wire payloads differ from the ones→pack route", eps)
+		}
 	}
 }

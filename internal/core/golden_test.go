@@ -74,6 +74,13 @@ func goldenCases() []struct {
 			o.OracleMode = Aggregate
 		}, 0xd9685253a3f68673},
 		{"population-peruser", func(o *Options) { o.OracleMode = PerUser }, 0xe3bb31981e50e88a},
+		// ε = 6 lies above the ε ≈ 4.1 size crossover (ldp.PreferPacked),
+		// where the per-user collector used to fold index lists; the pin was
+		// recorded on that code.
+		{"population-peruser-eps6", func(o *Options) {
+			o.OracleMode = PerUser
+			o.Epsilon = 6
+		}, 0x1fb1d409689cc3f5},
 		{"budget-peruser", func(o *Options) {
 			o.Division = allocation.Budget
 			o.OracleMode = PerUser

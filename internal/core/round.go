@@ -39,8 +39,6 @@ type Collected struct {
 	// Reporters are the users whose report was actually folded into
 	// Aggregate. Sampled users missing here stay active and unspent.
 	Reporters []int
-	// Packed records that the fold used the bit-packed representation.
-	Packed bool
 }
 
 // Plan is the first half of round t (Alg. 1 lines 1–12): it checks timestamp
@@ -185,7 +183,6 @@ func (e *Engine) Close(t int, col Collected, quitters []int, activeCount int) (S
 		ctx.Result.Reported = true
 		ctx.Result.NumReporters = len(col.Reporters)
 		ctx.Result.Epsilon = spent
-		ctx.Result.Packed = col.Packed
 		e.estimator.Estimate(ctx)
 		e.updater.Update(ctx)
 	}
@@ -261,7 +258,7 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 		for _, ev := range reporters {
 			e.idBuf = append(e.idBuf, ev.User)
 		}
-		col = Collected{Aggregate: ctx.Aggregate, ErrUpd: ctx.ErrUpd, Reporters: e.idBuf, Packed: ctx.Result.Packed}
+		col = Collected{Aggregate: ctx.Aggregate, ErrUpd: ctx.ErrUpd, Reporters: e.idBuf}
 	}
 	e.quitBuf = e.quitBuf[:0]
 	if e.users != nil {

@@ -33,8 +33,7 @@ type UserTracker struct {
 	reported [][]int
 	// quits[t % w] holds the users who quitted at timestamp t; they are
 	// forgotten when timestamp t+w begins. A user has at most one entry.
-	quits  [][]int
-	active int
+	quits [][]int
 }
 
 // NewUserTracker creates a tracker for window size w.
@@ -58,7 +57,6 @@ func (u *UserTracker) BeginTimestamp(t int) {
 	for _, id := range u.reported[slot] {
 		if u.status[id] == statusInactive {
 			u.status[id] = statusActive
-			u.active++
 		}
 	}
 	u.reported[slot] = u.reported[slot][:0]
@@ -78,20 +76,13 @@ func (u *UserTracker) Admit(id int) bool {
 	if !ok {
 		s = statusActive
 		u.status[id] = s
-		u.active++
 	}
 	return s == statusActive
 }
 
-// NumActive returns |U_A|.
-func (u *UserTracker) NumActive() int { return u.active }
-
 // MarkReported transitions a sampled user to inactive until recycled at
 // t+w (Alg. 1 line 14).
 func (u *UserTracker) MarkReported(id, t int) {
-	if s, ok := u.status[id]; ok && s == statusActive {
-		u.active--
-	}
 	u.status[id] = statusInactive
 	slot := t % u.w
 	u.reported[slot] = append(u.reported[slot], id)
@@ -103,12 +94,8 @@ func (u *UserTracker) MarkReported(id, t int) {
 // forgotten at, which a second ring entry would bring forward into the
 // window of a report made after a re-admission.
 func (u *UserTracker) MarkQuitted(id, t int) {
-	s, ok := u.status[id]
-	if ok && s == statusQuitted {
+	if u.status[id] == statusQuitted {
 		return
-	}
-	if ok && s == statusActive {
-		u.active--
 	}
 	u.status[id] = statusQuitted
 	slot := t % u.w
@@ -153,16 +140,18 @@ type UserTrackerState struct {
 	Active   int           `json:"active"`
 }
 
-// State exports a deep copy of the tracker.
+// State exports a deep copy of the tracker; Active counts the active users.
 func (u *UserTracker) State() UserTrackerState {
 	st := UserTrackerState{
 		W:        u.w,
 		Status:   make(map[int]uint8, len(u.status)),
 		Reported: make([][]int, len(u.reported)),
-		Active:   u.active,
 	}
 	for id, s := range u.status {
 		st.Status[id] = uint8(s)
+		if s == statusActive {
+			st.Active++
+		}
 	}
 	for i, ids := range u.reported {
 		st.Reported[i] = append([]int(nil), ids...)
@@ -221,6 +210,5 @@ func (u *UserTracker) Restore(st UserTrackerState) error {
 			u.quits[i] = append([]int(nil), st.Quits[i]...)
 		}
 	}
-	u.active = st.Active
 	return nil
 }

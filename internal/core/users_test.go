@@ -14,17 +14,17 @@ func TestUserTrackerLifecycle(t *testing.T) {
 	u := NewUserTracker(3)
 	u.Admit(1)
 	u.Admit(2)
-	if !isActive(u, 1) || !isActive(u, 2) || u.NumActive() != 2 {
-		t.Fatalf("registration failed: active=%d", u.NumActive())
+	if !isActive(u, 1) || !isActive(u, 2) || numActive(u) != 2 {
+		t.Fatalf("registration failed: active=%d", numActive(u))
 	}
 	// Re-registration is a no-op.
 	u.Admit(1)
-	if u.NumActive() != 2 {
-		t.Fatalf("double registration changed count: %d", u.NumActive())
+	if numActive(u) != 2 {
+		t.Fatalf("double registration changed count: %d", numActive(u))
 	}
 
 	u.MarkReported(1, 0)
-	if isActive(u, 1) || u.NumActive() != 1 {
+	if isActive(u, 1) || numActive(u) != 1 {
 		t.Fatal("reported user still active")
 	}
 
@@ -38,8 +38,8 @@ func TestUserTrackerLifecycle(t *testing.T) {
 	if !isActive(u, 1) {
 		t.Fatal("user not recycled at t+w")
 	}
-	if u.NumActive() != 2 {
-		t.Fatalf("active = %d after recycle", u.NumActive())
+	if numActive(u) != 2 {
+		t.Fatalf("active = %d after recycle", numActive(u))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestUserTrackerQuitNotRecycled(t *testing.T) {
 	if isActive(u, 7) {
 		t.Fatal("quitted user recycled")
 	}
-	if u.NumActive() != 0 {
-		t.Fatalf("active = %d", u.NumActive())
+	if numActive(u) != 0 {
+		t.Fatalf("active = %d", numActive(u))
 	}
 }
 
@@ -61,13 +61,13 @@ func TestUserTrackerQuitWhileActive(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(3)
 	u.MarkQuitted(3, 0)
-	if u.NumActive() != 0 {
-		t.Fatalf("active = %d", u.NumActive())
+	if numActive(u) != 0 {
+		t.Fatalf("active = %d", numActive(u))
 	}
 	// Quitting twice stays consistent.
 	u.MarkQuitted(3, 0)
-	if u.NumActive() != 0 {
-		t.Fatalf("active after double quit = %d", u.NumActive())
+	if numActive(u) != 0 {
+		t.Fatalf("active after double quit = %d", numActive(u))
 	}
 }
 
@@ -103,15 +103,15 @@ func TestUserTrackerManyUsersSlots(t *testing.T) {
 			u.MarkReported(id, tt)
 		}
 	}
-	if u.NumActive() != 0 {
-		t.Fatalf("active = %d, want 0", u.NumActive())
+	if numActive(u) != 0 {
+		t.Fatalf("active = %d, want 0", numActive(u))
 	}
 	// Users recycle in report order as the window slides.
 	for tt := 4; tt < 8; tt++ {
 		u.BeginTimestamp(tt)
 		want := (tt - 3) * 25
-		if u.NumActive() != want {
-			t.Fatalf("t=%d active = %d, want %d", tt, u.NumActive(), want)
+		if numActive(u) != want {
+			t.Fatalf("t=%d active = %d, want %d", tt, numActive(u), want)
 		}
 	}
 }
@@ -120,6 +120,17 @@ func TestUserTrackerManyUsersSlots(t *testing.T) {
 func isActive(u *UserTracker, id int) bool {
 	s, ok := u.status[id]
 	return ok && s == statusActive
+}
+
+// numActive counts the roster's active users, |U_A|.
+func numActive(u *UserTracker) int {
+	n := 0
+	for _, s := range u.status {
+		if s == statusActive {
+			n++
+		}
+	}
+	return n
 }
 
 // TestUserTrackerAdmit checks Admit against the two-pass semantics it
@@ -160,7 +171,6 @@ func TestUserTrackerAdmit(t *testing.T) {
 			for _, id := range tt.present {
 				if _, ok := ref.status[id]; !ok {
 					ref.status[id] = statusActive
-					ref.active++
 				}
 			}
 			var want []bool
@@ -171,8 +181,8 @@ func TestUserTrackerAdmit(t *testing.T) {
 			if !reflect.DeepEqual(got, tt.want) || !reflect.DeepEqual(want, tt.want) {
 				t.Fatalf("Admit = %v, register-then-check = %v, want %v", got, want, tt.want)
 			}
-			if u.NumActive() != tt.wantActive {
-				t.Fatalf("NumActive = %d, want %d", u.NumActive(), tt.wantActive)
+			if numActive(u) != tt.wantActive {
+				t.Fatalf("active = %d, want %d", numActive(u), tt.wantActive)
 			}
 			if !reflect.DeepEqual(u.State(), ref.State()) {
 				t.Fatalf("roster %+v, register-then-check left %+v", u.State(), ref.State())
@@ -203,8 +213,8 @@ func TestPlanAdmitsUsersKeepDrops(t *testing.T) {
 			t.Fatalf("user %d dropped by keep was never registered", id)
 		}
 	}
-	if e.users.NumActive() != len(ids) {
-		t.Fatalf("NumActive = %d, want %d", e.users.NumActive(), len(ids))
+	if numActive(e.users) != len(ids) {
+		t.Fatalf("active = %d, want %d", numActive(e.users), len(ids))
 	}
 }
 
@@ -227,8 +237,8 @@ func TestUserTrackerForgetsQuitted(t *testing.T) {
 	if _, known := u.status[5]; known {
 		t.Fatalf("quitted user still held at t+w: %v", u.State())
 	}
-	if !u.Admit(5) || u.NumActive() != 1 {
-		t.Fatalf("reappearing id not a new arrival: active=%d", u.NumActive())
+	if !u.Admit(5) || numActive(u) != 1 {
+		t.Fatalf("reappearing id not a new arrival: active=%d", numActive(u))
 	}
 }
 
@@ -273,8 +283,8 @@ func TestUserTrackerQuitUnknown(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(1)
 	u.MarkQuitted(42, 0)
-	if u.NumActive() != 1 {
-		t.Fatalf("active = %d after quitting an unknown id, want 1", u.NumActive())
+	if numActive(u) != 1 {
+		t.Fatalf("active = %d after quitting an unknown id, want 1", numActive(u))
 	}
 	u.BeginTimestamp(2)
 	if _, known := u.status[42]; known || len(u.status) != 1 {

@@ -70,11 +70,11 @@ func Variance(eps float64, n int) float64 {
 	return 4 * e / (float64(n) * (e - 1) * (e - 1))
 }
 
-// Perturb produces a faithful per-user report: the ascending indices whose
-// perturbed bit is 1. trueIdx must be in [0, d). Expected output size is
-// 1/2 + (d−1)·q, so reports are returned sparsely rather than as a d-bit
-// vector. It is PerturbPackedInto unpacked, so the sparse and the packed form
-// of a report consume the random stream identically.
+// Perturb produces a faithful per-user report as an index list: the
+// ascending indices whose perturbed bit is 1. trueIdx must be in [0, d). It
+// is PerturbPackedInto unpacked, so it consumes the random stream exactly as
+// the packed form does and releases the same bits. The program's devices
+// perturb packed rows; Perturb serves callers that want the index list.
 func (o *OUE) Perturb(rng Rand, trueIdx int) []int {
 	w := PackedWords(o.domain)
 	p := make(PackedReport, 16) // on the stack: domains up to 1024 states need no heap buffer
@@ -83,17 +83,6 @@ func (o *OUE) Perturb(rng Rand, trueIdx int) []int {
 	}
 	o.PerturbPackedInto(rng, trueIdx, p[:w])
 	return p[:w].Ones()
-}
-
-// PerturbBits is Perturb materialized as a dense bit vector; it exists for
-// API completeness (e.g. to measure wire size) and tests. The returned slice
-// has length d.
-func (o *OUE) PerturbBits(rng Rand, trueIdx int) []bool {
-	bits := make([]bool, o.domain)
-	for _, i := range o.Perturb(rng, trueIdx) {
-		bits[i] = true
-	}
-	return bits
 }
 
 // bernoulliWord returns 64 independent Bernoulli(qfix/2⁶⁴) bits. Lane j is 1
@@ -128,7 +117,9 @@ func NewAggregator(o *OUE) *Aggregator {
 	return &Aggregator{oracle: o, counts: make([]int, o.domain)}
 }
 
-// Add ingests one user's sparse report (indices of 1-bits).
+// Add ingests one user's report given as the indices of its 1-bits, one
+// index at a time: the reference the packed fold (AddPackedBatch) is tested
+// against.
 func (a *Aggregator) Add(report []int) {
 	for _, i := range report {
 		a.counts[i]++

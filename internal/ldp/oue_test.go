@@ -85,15 +85,6 @@ func TestPerturbIndexPanics(t *testing.T) {
 	}
 }
 
-func TestPerturbBitsMatchesSparse(t *testing.T) {
-	o := MustOUE(64, 1.0)
-	rng := NewRand(7, 9)
-	bits := o.PerturbBits(rng, 10)
-	if len(bits) != 64 {
-		t.Fatalf("len(bits) = %d", len(bits))
-	}
-}
-
 func TestPerturbBitRates(t *testing.T) {
 	// Empirically check P[1→1] ≈ 1/2 and P[0→1] ≈ q.
 	const trials = 20000

@@ -10,8 +10,9 @@ import (
 // round with a word-parallel carry-save counter network (see popcountFold)
 // instead of chasing one index at a time. At paper scale (10⁵–10⁶ reports
 // per round) the packed fold runs at memory bandwidth — an order of
-// magnitude faster than the sparse per-index fold — while producing
-// bit-identical counts.
+// magnitude faster than the per-index fold Aggregator.Add — while producing
+// bit-identical counts. Every report the program perturbs, ships and folds
+// is a packed row.
 
 // PackedWords returns the number of 64-bit words a packed report over a
 // domain of the given size occupies: ⌈domain/64⌉.
@@ -41,7 +42,7 @@ func (p PackedReport) OnesCount() int {
 }
 
 // Ones unpacks the report into the ascending indices of its set bits — the
-// sparse representation Aggregator.Add consumes.
+// index list Aggregator.Add consumes.
 func (p PackedReport) Ones() []int {
 	ones := make([]int, p.OnesCount())
 	k := 0
@@ -55,10 +56,10 @@ func (p PackedReport) Ones() []int {
 	return ones
 }
 
-// PackReport converts a sparse report (indices of 1-bits, any order) into
-// the packed representation for the domain. Out-of-domain indices are
-// rejected with an error — this is the validation boundary the curator
-// relies on — and duplicate indices collapse into one set bit.
+// PackReport converts an index list (indices of 1-bits, any order) into a
+// packed report for the domain. An OUE report names each index at most once,
+// so an out-of-domain or repeated index is rejected with an error naming it —
+// this is the validation boundary the curator relies on.
 func PackReport(ones []int, domain int) (PackedReport, error) {
 	p := make(PackedReport, PackedWords(domain))
 	for _, i := range ones {
@@ -66,6 +67,16 @@ func PackReport(ones []int, domain int) (PackedReport, error) {
 			return nil, fmt.Errorf("ldp: report bit %d outside domain [0, %d)", i, domain)
 		}
 		p.SetBit(i)
+	}
+	if p.OnesCount() != len(ones) {
+		// A repeat collapsed into one bit; walk again to name it.
+		seen := make(PackedReport, len(p))
+		for _, i := range ones {
+			if seen.Bit(i) {
+				return nil, fmt.Errorf("ldp: report bit %d repeated", i)
+			}
+			seen.SetBit(i)
+		}
 	}
 	return p, nil
 }
@@ -124,9 +135,9 @@ func UnpackReportBytesInto(data []byte, domain int, dst PackedReport) error {
 	return nil
 }
 
-// PerturbPacked is Perturb with a packed result. It consumes the random
-// stream exactly as Perturb does, so a round collected packed is
-// bit-identical to the same round collected sparsely.
+// PerturbPacked is PerturbPackedInto into a fresh report. It consumes the
+// random stream exactly as Perturb does, so the same seed yields the same
+// report in either form.
 func (o *OUE) PerturbPacked(rng Rand, trueIdx int) PackedReport {
 	p := make(PackedReport, PackedWords(o.domain))
 	o.PerturbPackedInto(rng, trueIdx, p)
@@ -162,14 +173,13 @@ func ExpectedOnes(domain int, eps float64) float64 {
 	return 0.5 + float64(domain-1)*o.q
 }
 
-// PreferPacked reports whether the packed representation beats the sparse
-// one for a round at this domain size and budget: the density crossover.
-// A sparse report holds one machine word per expected 1-bit (½+(d−1)q of
-// them); the packed report always holds ⌈d/64⌉ words, so packed wins when
-// the expected ones-rate exceeds one per 64 indices — for OUE that is
+// PreferPacked reports whether a packed report is no larger than the index
+// list for a round at this domain size and budget. It is a size comparison
+// only; the program no longer branches on it — every report is a packed row.
+// An index list holds one machine word per expected 1-bit (½+(d−1)q of
+// them); the packed report always holds ⌈d/64⌉ words, so packed is smaller
+// when the expected ones-rate exceeds one per 64 indices — for OUE that is
 // q ≥ ~1/64, i.e. ε ≲ ln 63 ≈ 4.1, essentially every realistic budget.
-// Perturbation costs the same either way (Perturb is PerturbPackedInto
-// unpacked); the choice is what the fold and the wire then handle.
 func PreferPacked(domain int, eps float64) bool {
 	return float64(PackedWords(domain)) <= ExpectedOnes(domain, eps)
 }

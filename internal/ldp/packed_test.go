@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -73,8 +74,12 @@ func TestPackReportRejectsOutOfDomain(t *testing.T) {
 			t.Errorf("PackReport(%v, 5) accepted an out-of-domain index", bad)
 		}
 	}
-	if p, err := PackReport([]int{2, 2, 2}, 5); err != nil || p.OnesCount() != 1 {
-		t.Errorf("duplicates should collapse: p=%v err=%v", p, err)
+	// An OUE report names each index at most once: a repeat is rejected,
+	// not collapsed, and the error names the index.
+	for want, rep := range map[string][]int{"bit 2 repeated": {2, 2, 2}, "bit 4 repeated": {0, 4, 1, 4}} {
+		if _, err := PackReport(rep, 5); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("PackReport(%v, 5) = %v, want %q", rep, err, want)
+		}
 	}
 }
 

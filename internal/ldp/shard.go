@@ -6,20 +6,16 @@ import (
 	"sync"
 )
 
-// Sharded report aggregation. Folding a collection round's reports into the
-// per-index counts is embarrassingly parallel and exactly order-independent
-// (integer addition commutes), so sharding across workers changes nothing
-// about the estimates — per-user mode at paper scale folds 10⁵–10⁶ sparse
-// |S|-bit reports per round, which is the curator's aggregation hot path.
+// Sharded report aggregation. Folding a collection round's packed reports
+// into the per-index counts is embarrassingly parallel and exactly
+// order-independent (integer addition commutes), so sharding across workers
+// changes nothing about the estimates — per-user mode at paper scale folds
+// 10⁵–10⁶ reports per round, which is the curator's aggregation hot path.
 
-// shardMinReports is the round size below which spawning workers costs more
-// than the fold itself. The packed fold's per-report work is so small (a
-// handful of ALU ops per word) that sharding only pays for much larger
-// rounds.
-const (
-	shardMinReports       = 2048
-	shardMinPackedReports = 1 << 14
-)
+// shardMinPackedReports is the round size below which spawning workers costs
+// more than the fold itself. The packed fold's per-report work is so small
+// (a handful of ALU ops per word) that sharding only pays for large rounds.
+const shardMinPackedReports = 1 << 14
 
 // DefaultWorkers is the worker count the engine and the curator use for
 // sharded aggregation: one per CPU the Go scheduler may run on
@@ -42,42 +38,6 @@ func shardBounds(n, workers int) []int {
 		bounds = append(bounds, hi)
 	}
 	return bounds
-}
-
-// AddReports folds many sparse OUE reports into the aggregator, sharding the
-// counting across up to workers goroutines when the round is large enough to
-// pay for them. The result is identical to calling Add for every report in
-// order; workers ≤ 1 (or a small round) falls back to the sequential fold.
-func (a *Aggregator) AddReports(reports [][]int, workers int) {
-	if workers <= 1 || len(reports) < shardMinReports {
-		for _, r := range reports {
-			a.Add(r)
-		}
-		return
-	}
-	bounds := shardBounds(len(reports), workers)
-	shards := make([][]int, len(bounds)-1)
-	var wg sync.WaitGroup
-	for w := 0; w < len(bounds)-1; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			counts := make([]int, len(a.counts))
-			for _, r := range reports[bounds[w]:bounds[w+1]] {
-				for _, i := range r {
-					counts[i]++
-				}
-			}
-			shards[w] = counts
-		}(w)
-	}
-	wg.Wait()
-	for _, counts := range shards {
-		for i, c := range counts {
-			a.counts[i] += c
-		}
-	}
-	a.n += len(reports)
 }
 
 // AddPackedBatch folds a whole packed round into the aggregator with the

@@ -1,67 +1,34 @@
 package ldp
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-func makeOUEReports(n, domain int, eps float64, seed uint64) (*OUE, [][]int) {
-	oracle := MustOUE(domain, eps)
-	rng := NewRand(seed, seed+1)
-	reports := make([][]int, n)
-	for i := range reports {
-		reports[i] = oracle.Perturb(rng, i%domain)
-	}
-	return oracle, reports
-}
-
-func TestAddReportsMatchesSequential(t *testing.T) {
-	oracle, reports := makeOUEReports(3*shardMinReports, 97, 1.0, 11)
+// TestAddPackedBatchAccumulates pins that AddPackedBatch on a non-empty
+// aggregator adds on top of what it holds, sequential and sharded alike.
+func TestAddPackedBatchAccumulates(t *testing.T) {
+	const domain, reports = 53, shardMinPackedReports + 50
+	oracle := MustOUE(domain, 1.0)
+	rng := NewRand(17, 18)
+	batch := NewPackedBatch(domain, reports)
 	seq := NewAggregator(oracle)
-	for _, r := range reports {
-		seq.Add(r)
+	for i := 0; i < reports; i++ {
+		row := batch.Grow()
+		oracle.PerturbPackedInto(rng, i%domain, row)
+		seq.Add(row.Ones())
 	}
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		par := NewAggregator(oracle)
-		par.AddReports(reports, workers)
-		if par.N() != seq.N() {
-			t.Fatalf("workers=%d: N=%d, want %d", workers, par.N(), seq.N())
+	seq.Add(batch.Report(0).Ones())
+	for _, workers := range []int{1, 4} {
+		a := NewAggregator(oracle)
+		a.AddPacked(batch.Report(0))
+		a.AddPackedBatch(batch, workers)
+		if a.N() != seq.N() {
+			t.Fatalf("workers=%d: N=%d, want %d", workers, a.N(), seq.N())
 		}
-		got, want := par.EstimateAll(), seq.EstimateAll()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: estimate[%d]=%v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestAddReportsSmallRoundSequentialFallback(t *testing.T) {
-	oracle, reports := makeOUEReports(17, 31, 1.0, 13)
-	a := NewAggregator(oracle)
-	a.AddReports(reports, 8)
-	if a.N() != 17 {
-		t.Fatalf("N=%d, want 17", a.N())
-	}
-}
-
-func TestAddReportsAccumulates(t *testing.T) {
-	// AddReports on a non-empty aggregator must add on top, not replace.
-	oracle, reports := makeOUEReports(2*shardMinReports, 53, 1.0, 17)
-	a := NewAggregator(oracle)
-	a.Add(reports[0])
-	a.AddReports(reports[1:], 4)
-	seq := NewAggregator(oracle)
-	for _, r := range reports {
-		seq.Add(r)
-	}
-	if a.N() != seq.N() {
-		t.Fatalf("N=%d, want %d", a.N(), seq.N())
-	}
-	got, want := a.EstimateAll(), seq.EstimateAll()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("estimate[%d]=%v, want %v", i, got[i], want[i])
+		if !reflect.DeepEqual(a.Counts(), seq.Counts()) {
+			t.Fatalf("workers=%d: counts differ from the per-report Add fold", workers)
 		}
 	}
 }

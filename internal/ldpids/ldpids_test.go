@@ -171,8 +171,8 @@ func TestPopulationRosterAdmitsEnterAndQuit(t *testing.T) {
 			t.Fatalf("user %d not registered", id)
 		}
 	}
-	if e.users.NumActive() != 1 { // 2 reported, 3 quitted
-		t.Fatalf("NumActive = %d, want 1", e.users.NumActive())
+	if e.users.State().Active != 1 { // 2 reported, 3 quitted
+		t.Fatalf("active = %d, want 1", e.users.State().Active)
 	}
 }
 

@@ -17,11 +17,10 @@ type Metrics struct {
 	stageDMU       *obs.Histogram
 	stageSynthesis *obs.Histogram
 
-	rounds        *obs.Counter
-	silent        *obs.Counter
-	reportsPacked *obs.Counter
-	reportsSparse *obs.Counter
-	reportCount   *obs.Histogram
+	rounds      *obs.Counter
+	silent      *obs.Counter
+	reports     *obs.Counter
+	reportCount *obs.Histogram
 
 	sigRatio    *obs.Gauge
 	significant *obs.Gauge
@@ -44,8 +43,7 @@ func NewMetrics(reg *obs.Registry, shard int) *Metrics {
 		stageSynthesis: stage("synthesis"),
 		rounds:         reg.Counter("pipeline.rounds", sh),
 		silent:         reg.Counter("pipeline.silent_timestamps", sh),
-		reportsPacked:  reg.Counter("pipeline.reports", sh, obs.Label{Key: "representation", Value: "packed"}),
-		reportsSparse:  reg.Counter("pipeline.reports", sh, obs.Label{Key: "representation", Value: "sparse"}),
+		reports:        reg.Counter("pipeline.reports", sh),
 		reportCount:    reg.Histogram("pipeline.round.report_count", sh),
 		sigRatio:       reg.Gauge("pipeline.dmu.sig_ratio", sh),
 		significant:    reg.Gauge("pipeline.dmu.significant", sh),
@@ -64,11 +62,7 @@ func (m *Metrics) ObserveStep(res StepResult) {
 	if res.Reported {
 		m.rounds.Inc()
 		m.reportCount.ObserveValue(int64(res.NumReporters))
-		if res.Packed {
-			m.reportsPacked.Add(int64(res.NumReporters))
-		} else {
-			m.reportsSparse.Add(int64(res.NumReporters))
-		}
+		m.reports.Add(int64(res.NumReporters))
 		m.sigRatio.Set(res.SigRatio)
 		m.significant.Set(float64(res.NumSignificant))
 	} else {

@@ -3,9 +3,10 @@
 //
 //	Collector       — one OUE collection round over the sampled reporters;
 //	                  the only pluggable stage (two implementations: per-user
-//	                  perturbation or the aggregate draw), used by the
-//	                  in-process driver — on the wire the reports arrive over
-//	                  the network instead
+//	                  perturbation into bit-packed rows folded by the
+//	                  word-parallel popcount network, or the aggregate draw),
+//	                  used by the in-process driver — on the wire the packed
+//	                  rows arrive over the network instead
 //	DebiasEstimator — debiasing (and optional post-processing) of the aggregate
 //	DMUUpdater      — the DMU / AllUpdate refresh of the global mobility model
 //	SynthesisStage  — the real-time synthetic-database step
@@ -34,7 +35,6 @@ type StepResult struct {
 	Epsilon        float64 // per-user budget spent by reporters
 	NumSignificant int     // |S*| of the DMU selection (domain size at init)
 	SigRatio       float64 // |S*|/|S| of the DMU selection (0 at init and when silent)
-	Packed         bool    // collection round used the bit-packed representation
 	Stages         Timings // wall time this round charged to each component
 }
 

@@ -58,35 +58,32 @@ func TestOUEPerUserCollectorShardingInvariance(t *testing.T) {
 	}
 }
 
-// TestOUEPerUserCollectorPackedMatchesSparse pins the collector's per-round
-// representation switch: at test scale PreferPacked must choose the packed
-// path, and forcing the sparse path with the same seed must produce the
-// exact same estimates — the representation changes the fold, not one bit
-// of the outcome.
+// TestOUEPerUserCollectorPackedMatchesSparse pins the collector's packed
+// perturb-and-fold against the reference route: the same seed through
+// ldp.OUE.Perturb index lists, folded one report at a time by
+// ldp.Aggregator.Add, must give the exact same estimates — at ε = 1 and at
+// ε = 6, above the ε ≈ 4.1 size crossover, sequential and sharded.
 func TestOUEPerUserCollectorPackedMatchesSparse(t *testing.T) {
 	dom := testDomain()
-	const eps = 1.0
-	if !ldp.PreferPacked(dom.Size(), eps) {
-		t.Fatalf("PreferPacked(%d, %v) = false; test config no longer exercises the packed path", dom.Size(), eps)
-	}
 	reporters := testReporters(dom, 3000, 21)
-	run := func(forceSparse bool, workers int) []float64 {
-		c := &OUEPerUserCollector{
-			Dom: dom, Rng: ldp.NewRand(17, 19),
-			Workers: workers, ForceSparse: forceSparse,
+	for _, eps := range []float64{1, 6} {
+		oracle := ldp.MustOUE(dom.Size(), eps)
+		rng := ldp.NewRand(17, 19)
+		ref := ldp.NewAggregator(oracle)
+		for _, ev := range reporters {
+			idx, _ := dom.Index(ev.State)
+			ref.Add(oracle.Perturb(rng, idx))
 		}
-		ctx := &StepContext{
-			T: 0, Epsilon: eps, Reporters: reporters, Timings: &Timings{},
-		}
-		c.Collect(ctx)
-		return ctx.Aggregate.EstimateAll()
-	}
-	sparse := run(true, 1)
-	for _, workers := range []int{1, 2, 8} {
-		packed := run(false, workers)
-		for i := range sparse {
-			if packed[i] != sparse[i] {
-				t.Fatalf("workers=%d: packed estimate[%d]=%v, sparse %v", workers, i, packed[i], sparse[i])
+		want := ref.EstimateAll()
+		for _, workers := range []int{1, 2, 8} {
+			c := &OUEPerUserCollector{Dom: dom, Rng: ldp.NewRand(17, 19), Workers: workers}
+			ctx := &StepContext{T: 0, Epsilon: eps, Reporters: reporters, Timings: &Timings{}}
+			c.Collect(ctx)
+			got := ctx.Aggregate.EstimateAll()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("ε=%v workers=%d: packed estimate[%d]=%v, reference %v", eps, workers, i, got[i], want[i])
+				}
 			}
 		}
 	}

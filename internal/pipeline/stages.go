@@ -15,53 +15,22 @@ import (
 // runs stay bit-identical to the seed engine.
 
 // OUEPerUserCollector is the faithful per-user OUE path: every sampled
-// user's report is individually randomized — by the word-parallel sampler
-// (ldp.OUE.PerturbPackedInto), the same one at every ε — then the curator
-// folds the round. Per round it picks the report representation
-// by domain size and ε (ldp.PreferPacked): dense rounds perturb straight
-// into a bit-packed batch and fold with the word-parallel popcount network;
-// sparse rounds unpack each report into an index list and keep the
-// index-list fold, sharded across Workers goroutines when large. Both paths
-// consume the random stream identically and integer addition commutes, so
-// the estimates are bit-identical whichever representation a round takes.
+// user's report is individually randomized by the word-parallel sampler
+// (ldp.OUE.PerturbPackedInto) straight into one contiguous bit-packed batch,
+// and the curator side folds the round with the word-parallel popcount
+// network (ldp.Aggregator.AddPackedBatch), sharded across Workers goroutines
+// when large.
 type OUEPerUserCollector struct {
 	Dom *transition.Domain
 	Rng ldp.Rand
 	// Workers shards the curator-side aggregation fold; ≤ 1 keeps the fold
 	// sequential.
 	Workers int
-	// ForceSparse disables the packed fast path (testing/ablation hook).
-	ForceSparse bool
 }
 
 // Collect implements Collector.
 func (c *OUEPerUserCollector) Collect(ctx *StepContext) {
 	oracle := ldp.MustOUE(c.Dom.Size(), ctx.Epsilon)
-	if !c.ForceSparse && ldp.PreferPacked(c.Dom.Size(), ctx.Epsilon) {
-		c.collectPacked(ctx, oracle)
-		return
-	}
-	reports := make([][]int, len(ctx.Reporters))
-	start := time.Now()
-	for i, ev := range ctx.Reporters {
-		idx, _ := c.Dom.Index(ev.State)
-		reports[i] = oracle.Perturb(c.Rng, idx)
-	}
-	ctx.Timings.UserSide += time.Since(start)
-
-	start = time.Now()
-	agg := ldp.NewAggregator(oracle)
-	agg.AddReports(reports, c.Workers)
-	ctx.Aggregate = agg
-	ctx.ErrUpd = oracle.Variance(len(ctx.Reporters))
-	ctx.Timings.ModelConstruction += time.Since(start)
-}
-
-// collectPacked is the dense-round path: perturbation writes each report's
-// bits in place into one contiguous packed batch, and the fold counts all
-// columns of a word at once.
-func (c *OUEPerUserCollector) collectPacked(ctx *StepContext, oracle *ldp.OUE) {
-	ctx.Result.Packed = true
 	batch := ldp.NewPackedBatch(c.Dom.Size(), len(ctx.Reporters))
 	start := time.Now()
 	for _, ev := range ctx.Reporters {

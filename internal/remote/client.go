@@ -100,17 +100,9 @@ func (c *Client) MaybeReport(t int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Pick the wire representation by round density, exactly as the gateway
-	// tier does: when the expected number of 1-bits crosses the packed
-	// crossover, ship the dense ⌈d/8⌉-byte form instead of the index list.
-	// PerturbPacked consumes the RNG identically to Perturb, so the choice
-	// changes bytes on the wire, never the report.
-	if ldp.PreferPacked(d, a.Epsilon) {
-		err = c.gw.ReportPacked(t, d, []PackedBatchReport{{User: c.user, Bits: oracle.PerturbPacked(c.rng, idx).Bytes(d)}})
-	} else {
-		// The perturbed bits are the only thing that leaves the device.
-		err = c.gw.ReportBatch(t, []BatchReport{{User: c.user, Ones: oracle.Perturb(c.rng, idx)}})
-	}
+	// The perturbed bits are the only thing that leaves the device: one
+	// packed ⌈d/8⌉-byte row.
+	err = c.gw.ReportPacked(t, d, []PackedBatchReport{{User: c.user, Bits: oracle.PerturbPacked(c.rng, idx).Bytes(d)}})
 	return err == nil, err
 }
 

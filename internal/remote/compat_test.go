@@ -87,17 +87,30 @@ func TestGatewayWireBitIdentity(t *testing.T) {
 }
 
 // TestClientWireBitIdentity runs the full device-client protocol —
-// one-user presence frames, one-user assignment polls, density-chosen
-// one-entry report frames (ε=1 on the test grid prefers the packed form) —
-// and pins the CSV release. Like the gateway pin, it was recorded when the
-// JSON, binary and auto-negotiated clients all released these bytes.
+// one-user presence frames, one-user assignment polls, one-entry packed
+// report frames — and pins the CSV release. Like the gateway pin, it was
+// recorded when the JSON, binary and auto-negotiated clients all released
+// these bytes.
 func TestClientWireBitIdentity(t *testing.T) {
-	const (
-		wantReports = 94
-		wantCSVHash = 0xe40e3343a80747f9
-	)
+	clientWireRun(t, 1.0, 94, 0xe40e3343a80747f9)
+}
+
+// TestClientWireBitIdentityHighEpsilon runs the same protocol at ε = 6, above
+// the ε ≈ 4.1 size crossover (ldp.PreferPacked) where devices used to send
+// index lists and the curator folded them one index at a time. The pin was
+// recorded on that code; packed rows release the same bytes.
+func TestClientWireBitIdentityHighEpsilon(t *testing.T) {
+	clientWireRun(t, 6.0, 94, 0x94d5560434ff2c31)
+}
+
+// clientWireRun drives 60 device clients through 12 rounds over HTTP at
+// budget eps and checks the report count and the CSV release hash.
+func clientWireRun(t *testing.T, eps float64, wantReports int, wantCSVHash uint64) {
+	t.Helper()
 	g := testGrid()
-	cur, err := NewCurator(testConfig(g))
+	cfg := testConfig(g)
+	cfg.Epsilon = eps
+	cur, err := NewCurator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +145,14 @@ func TestClientWireBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, reports := cur.Stats(); reports != wantReports {
-		t.Fatalf("reports = %d, want %d", reports, wantReports)
-	}
 	h := fnv.New64a()
 	h.Write(body)
+	_, reports := cur.Stats()
+	if reports != wantReports {
+		t.Fatalf("reports = %d, want %d", reports, wantReports)
+	}
 	if got := h.Sum64(); got != wantCSVHash {
-		t.Fatalf("CSV release hash = %#x, want %#x", got, uint64(wantCSVHash))
+		t.Fatalf("CSV release hash = %#x, want %#x", got, wantCSVHash)
 	}
 }
 

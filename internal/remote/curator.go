@@ -78,7 +78,6 @@ type Curator struct {
 	agg            *ldp.Aggregator
 	oracle         *ldp.OUE
 	folded         []int // users whose report was folded into agg
-	foldedPacked   bool  // a packed batch was folded this round
 	presenceEvents int64
 	idBuf          []int // Plan's pool scratch
 	dupBuf         []int // admitLocked's duplicate-check scratch
@@ -243,21 +242,6 @@ func (c *Curator) admitLocked(t int, users []int) error {
 	return nil
 }
 
-// validateOnesLocked is the curator-boundary index check: every reported
-// 1-bit must land inside the current domain. Without it a hostile (or
-// stale-domain) client's report would panic ldp.Aggregator.Add inside the
-// service; with it the report is rejected with a clean error and the round
-// stays intact.
-func (c *Curator) validateOnesLocked(ones []int) error {
-	d := c.eng.Domain().Size()
-	for _, i := range ones {
-		if i < 0 || i >= d {
-			return fmt.Errorf("remote: report bit %d outside domain [0, %d)", i, d)
-		}
-	}
-	return nil
-}
-
 // foldedLocked books the users whose reports were just folded into the
 // aggregate — one report per assignment. The engine hears about them at
 // Finalize; until then a sampled-but-silent user is simply still assigned.
@@ -271,54 +255,39 @@ func (c *Curator) foldedLocked(users []int, took time.Duration) {
 	c.metrics.pendingAsgn.Set(float64(len(c.assignments)))
 }
 
-// BatchReport is one user's entry in a batched report upload.
+// BatchReport is one user's report given as an index list: the ascending
+// (or any-order) indices of its 1-bits, each at most once.
 type BatchReport struct {
 	User int   `json:"user"`
 	Ones []int `json:"ones"`
 }
 
-// ReportBatch ingests many users' reports in one call — the path for
-// gateway aggregators that fan heavy traffic into the curator. The batch is
-// validated before any report is applied (open round, every user sampled
-// and unique within the batch, every bit in the domain), so a rejected
-// batch leaves the round untouched; the upload is all-or-nothing.
+// ReportBatch ingests a batch of index-list reports: it packs them for the
+// current domain (PackReportBatch rejects an out-of-domain or repeated index)
+// and commits them like a packed upload. The upload is all-or-nothing; a
+// rejected batch leaves the round untouched.
 func (c *Curator) ReportBatch(t int, batch []BatchReport) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	users := make([]int, len(batch))
-	for i, r := range batch {
-		users[i] = r.User
-	}
-	if err := c.admitLocked(t, users); err != nil {
+	// One domain read: the commit re-checks it under the round lock, so a
+	// relayout landing after the packing is rejected cleanly.
+	d := c.DomainSize()
+	packed, err := PackReportBatch(batch, d)
+	if err != nil {
 		return err
 	}
-	for i, r := range batch {
-		if err := c.validateOnesLocked(r.Ones); err != nil {
-			return fmt.Errorf("remote: batch entry %d: %w", i, err)
-		}
-	}
-	start := time.Now()
-	for _, r := range batch {
-		c.agg.Add(r.Ones)
-	}
-	c.metrics.reportsSparse.Add(int64(len(batch)))
-	c.foldedLocked(users, time.Since(start))
-	return nil
+	return c.reportPacked(t, d, packed)
 }
 
 // PackedBatchReport is one user's entry in a bit-packed batched upload:
-// Bits is the little-endian ⌈d/8⌉-byte dense report (base64 in JSON). At
-// realistic budgets a packed entry is ~6× smaller on the wire than the
-// sparse index list, and the curator folds the whole batch with the
-// word-parallel popcount network instead of one index at a time.
+// Bits is the little-endian ⌈d/8⌉-byte dense report (base64 in JSON) that
+// the curator folds with the word-parallel popcount network.
 type PackedBatchReport struct {
 	User int    `json:"user"`
 	Bits []byte `json:"bits"`
 }
 
-// PackReportBatch converts a sparse batch into the packed wire form for a
-// domain of size d — the gateway-side helper. It rejects out-of-domain
-// indices (the same validation the curator applies on receipt).
+// PackReportBatch converts a batch of index-list reports into the packed
+// wire form for a domain of size d. It rejects an out-of-domain or repeated
+// index, naming the entry and the index.
 func PackReportBatch(batch []BatchReport, d int) ([]PackedBatchReport, error) {
 	out := make([]PackedBatchReport, len(batch))
 	for i, r := range batch {
@@ -332,24 +301,27 @@ func PackReportBatch(batch []BatchReport, d int) ([]PackedBatchReport, error) {
 }
 
 // ReportPackedBatch ingests a bit-packed batched upload. Validation is
-// all-or-nothing like ReportBatch — open round, unique sampled users, and
-// every payload exactly ⌈d/8⌉ bytes with no bits set beyond the domain, so
-// a malformed entry yields a clean error instead of corrupting or panicking
-// the fold. Each wire payload decodes straight into its fold-buffer row
-// (ldp.UnpackReportBytesInto on a PackedBatch.Grow row) — no intermediate
-// PackedReport is materialized or copied — and counts are bit-identical to
-// the sparse path. The decode runs *outside* the round lock: only the
-// commit — sampling validation plus the word-parallel fold — holds it, so
-// a slow or hostile payload can't stall concurrent presence and assignment
-// traffic. A relayout racing the decode is caught by the commit's domain
-// re-check and rejected cleanly.
+// all-or-nothing — open round, unique sampled users, and every payload
+// exactly ⌈d/8⌉ bytes with no bits set beyond the domain — so a malformed
+// entry yields a clean error instead of corrupting or panicking the fold.
+// Each payload decodes straight into its fold-buffer row
+// (ldp.UnpackReportBytesInto on a PackedBatch.Grow row) *outside* the round
+// lock: only the commit — sampling validation plus the word-parallel fold —
+// holds it, so a slow or hostile payload can't stall concurrent presence and
+// assignment traffic. A relayout racing the decode is caught by the commit's
+// domain re-check and rejected cleanly.
 func (c *Curator) ReportPackedBatch(t int, batch []PackedBatchReport) error {
+	return c.reportPacked(t, c.DomainSize(), batch)
+}
+
+// reportPacked splits a packed batch into the wire path's users and rows.
+func (c *Curator) reportPacked(t, d int, batch []PackedBatchReport) error {
 	users := make([]int, len(batch))
 	bits := make([][]byte, len(batch))
 	for i, r := range batch {
 		users[i], bits[i] = r.User, r.Bits
 	}
-	return c.reportPackedWire(t, c.DomainSize(), users, bits)
+	return c.reportPackedWire(t, d, users, bits)
 }
 
 // reportPackedWire is the binary-frame ingest path: bits rows alias the
@@ -385,10 +357,11 @@ func (c *Curator) commitPackedBatch(t, d int, users []int, packed *ldp.PackedBat
 		// for the old bit layout and must not fold into the new one.
 		return fmt.Errorf("remote: packed batch encoded for domain %d, curator domain is %d", d, cd)
 	}
+	if len(users) == 0 {
+		return nil // nothing to fold, and a round that samples nobody has no aggregate
+	}
 	start := time.Now()
 	c.agg.AddPackedBatch(packed, ldp.DefaultWorkers())
-	c.foldedPacked = true
-	c.metrics.reportsPacked.Add(int64(len(users)))
 	c.foldedLocked(users, time.Since(start))
 	return nil
 }
@@ -410,7 +383,6 @@ func (c *Curator) Finalize(t, activeCount int) error {
 			Aggregate: c.agg,
 			ErrUpd:    c.oracle.Variance(c.agg.N()),
 			Reporters: c.folded,
-			Packed:    c.foldedPacked,
 		}
 	}
 	// Quit inference: users present at t−1 but silent at t have stopped
@@ -429,7 +401,7 @@ func (c *Curator) Finalize(t, activeCount int) error {
 	}
 	c.prevPresent, c.present = c.present, make(map[int]bool)
 	c.assignments, c.oracle, c.agg = nil, nil, nil
-	c.folded, c.foldedPacked = c.folded[:0], false
+	c.folded = c.folded[:0]
 	if res.Reported {
 		c.metrics.rounds.Inc()
 		c.metrics.reportCount.ObserveValue(int64(res.NumReporters))

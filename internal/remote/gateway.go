@@ -80,8 +80,9 @@ func (g *Gateway) Assignments(users []int, t int) ([]Assignment, error) {
 	return res.as, nil
 }
 
-// ReportBatch ships the shard's sparse report batch — exactly one attempt,
-// all-or-nothing on the curator.
+// ReportBatch ships the shard's index-list report batch as form 1, which the
+// curator packs on receipt — exactly one attempt, all-or-nothing on the
+// curator. Devices send packed rows (ReportPacked).
 func (g *Gateway) ReportBatch(t int, batch []BatchReport) error {
 	if len(batch) == 0 {
 		return nil

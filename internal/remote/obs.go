@@ -17,8 +17,6 @@ import (
 type curatorMetrics struct {
 	rounds         *obs.Counter
 	reports        *obs.Counter
-	reportsPacked  *obs.Counter
-	reportsSparse  *obs.Counter
 	presenceEvents *obs.Counter
 	roundErrors    *obs.Counter
 	relayoutErrors *obs.Counter
@@ -38,14 +36,9 @@ type curatorMetrics struct {
 }
 
 func newCuratorMetrics(reg *obs.Registry) curatorMetrics {
-	rep := func(kind string) *obs.Counter {
-		return reg.Counter("curator.reports_by_representation", obs.Label{Key: "representation", Value: kind})
-	}
 	return curatorMetrics{
 		rounds:         reg.Counter("curator.rounds"),
 		reports:        reg.Counter("curator.reports"),
-		reportsPacked:  rep("packed"),
-		reportsSparse:  rep("sparse"),
 		presenceEvents: reg.Counter("curator.presence_events"),
 		roundErrors:    reg.Counter("curator.round_errors"),
 		relayoutErrors: reg.Counter("curator.relayout_errors"),

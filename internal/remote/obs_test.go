@@ -194,7 +194,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		"curator_reports ",
 		"curator_presence_events ",
 		"curator_round_report_count_count ",
-		`curator_reports_by_representation{representation=`,
+		`pipeline_reports{shard="0"} `,
 		"budget_cumulative_eps ",
 		"budget_window_sum_eps ",
 		"budget_window_eps_micro_count ",

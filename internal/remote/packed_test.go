@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"retrasyn/internal/ldp"
+	"retrasyn/internal/pipeline"
 )
 
 // driveRound opens a round at timestamp ts with the given users present and
@@ -102,6 +103,97 @@ func TestPackedBatchMatchesSparseBatch(t *testing.T) {
 	}
 }
 
+// TestReportFormsLeaveEqualSnapshots sends every round's reports to two
+// same-seed curators over HTTP, once as a form-1 frame (index lists, packed
+// by the curator on receipt) and once as a form-2 frame (packed rows), and
+// requires DeepEqual curator snapshots mid-round and after the run: both
+// forms reach the same packed commit. Only the fold's wall-clock timings
+// may differ.
+func TestReportFormsLeaveEqualSnapshots(t *testing.T) {
+	g := testGrid()
+	var curs [2]*Curator
+	var urls [2]string
+	for i := range curs {
+		cur, err := NewCurator(testConfig(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewHandler(cur))
+		defer srv.Close()
+		curs[i], urls[i] = cur, srv.URL
+	}
+	snapshots := func() [2]*CuratorState {
+		var out [2]*CuratorState
+		for i, cur := range curs {
+			st, err := cur.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Engine.Stats.Timings = pipeline.Timings{}
+			out[i] = st
+		}
+		return out
+	}
+	post := func(url string, frame []byte) {
+		resp, err := http.Post(url+"/v1/report", WireContentType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("report frame: %s", resp.Status)
+		}
+	}
+	d := curs[0].DomainSize()
+	users := make([]int, 30)
+	for i := range users {
+		users[i] = i
+	}
+	rng := ldp.NewRand(4, 2)
+	for ts := 0; ts < 8; ts++ {
+		sampled := driveRound(t, curs[0], ts, users)
+		if !reflect.DeepEqual(driveRound(t, curs[1], ts, users), sampled) {
+			t.Fatalf("t=%d: same-seed curators sampled different users", ts)
+		}
+		var batch []BatchReport
+		for _, u := range users {
+			if a, ok := sampled[u]; ok {
+				batch = append(batch, BatchReport{User: u, Ones: ldp.MustOUE(d, a.Epsilon).Perturb(rng, u%d)})
+			}
+		}
+		if len(batch) > 0 {
+			form1, err := EncodeSparseReportFrame(ts, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed, err := PackReportBatch(batch, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			form2, err := EncodePackedReportFrame(ts, d, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			post(urls[0], form1)
+			post(urls[1], form2)
+			if st := snapshots(); !reflect.DeepEqual(st[0], st[1]) {
+				t.Fatalf("t=%d: form-1 and form-2 curators hold different open rounds", ts)
+			}
+		}
+		for _, cur := range curs {
+			if err := cur.Finalize(ts, len(users)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, reports := curs[0].Stats(); reports == 0 {
+		t.Fatal("no reports flowed")
+	}
+	if st := snapshots(); !reflect.DeepEqual(st[0], st[1]) {
+		t.Fatal("form-1 and form-2 curators ended in different states")
+	}
+}
+
 // TestCuratorRejectsOutOfDomainReports is the boundary-validation satellite:
 // hostile or stale-domain indices must come back as clean errors on every
 // report path — never panic the service — and leave the open round usable.
@@ -191,6 +283,48 @@ func TestPackedBatchAllOrNothing(t *testing.T) {
 	// Both users can still report: nothing was consumed.
 	if err := cur.ReportPackedBatch(0, []PackedBatchReport{{User: ids[0], Bits: good.Bytes(d)}, {User: ids[1], Bits: good.Bytes(d)}}); err != nil {
 		t.Fatalf("clean batch after rejection: %v", err)
+	}
+}
+
+// TestEmptyBatchInSilentRound: a round whose pool is empty samples nobody
+// and has no aggregate; an empty upload into it — either form, over the Go
+// API or the wire — is a no-op, not a nil dereference.
+func TestEmptyBatchInSilentRound(t *testing.T) {
+	cur, err := NewCurator(testConfig(testGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(cur))
+	defer srv.Close()
+	if err := cur.Plan(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.ReportPackedBatch(0, nil); err != nil {
+		t.Fatalf("empty packed batch: %v", err)
+	}
+	if err := cur.ReportBatch(0, nil); err != nil {
+		t.Fatalf("empty index-list batch: %v", err)
+	}
+	form1, err := EncodeSparseReportFrame(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	form2, err := EncodePackedReportFrame(0, cur.DomainSize(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, frame := range [][]byte{form1, form2} {
+		resp, err := http.Post(srv.URL+"/v1/report", WireContentType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("empty form-%d frame: %s", i+1, resp.Status)
+		}
+	}
+	if err := cur.Finalize(0, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 

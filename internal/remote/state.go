@@ -40,12 +40,13 @@ type CuratorState struct {
 
 	// The open round's wire state (all empty between rounds): assignments
 	// not yet answered, the users whose reports were folded, and the partial
-	// aggregate. AggCounts is nil when the round samples nobody.
-	Assignments  map[int]Assignment `json:"assignments,omitempty"`
-	Folded       []int              `json:"folded,omitempty"`
-	FoldedPacked bool               `json:"folded_packed,omitempty"`
-	AggCounts    []int              `json:"agg_counts,omitempty"`
-	AggN         int                `json:"agg_n,omitempty"`
+	// aggregate. AggCounts is nil when the round samples nobody. (A
+	// checkpoint from before every report was folded packed may also carry
+	// "folded_packed"; decoding ignores it.)
+	Assignments map[int]Assignment `json:"assignments,omitempty"`
+	Folded      []int              `json:"folded,omitempty"`
+	AggCounts   []int              `json:"agg_counts,omitempty"`
+	AggN        int                `json:"agg_n,omitempty"`
 }
 
 // Snapshot exports the curator's complete state as a deep copy; handler
@@ -59,14 +60,13 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 	}
 	ctlState := c.ctl.State()
 	st := &CuratorState{
-		Version:      CuratorStateVersion,
-		Engine:       eng,
-		Relayout:     &ctlState,
-		Present:      copyBoolSet(c.present),
-		PrevPresent:  copyBoolSet(c.prevPresent),
-		Assignments:  maps.Clone(c.assignments),
-		Folded:       slices.Clone(c.folded),
-		FoldedPacked: c.foldedPacked,
+		Version:     CuratorStateVersion,
+		Engine:      eng,
+		Relayout:    &ctlState,
+		Present:     copyBoolSet(c.present),
+		PrevPresent: copyBoolSet(c.prevPresent),
+		Assignments: maps.Clone(c.assignments),
+		Folded:      slices.Clone(c.folded),
 	}
 	if c.agg != nil {
 		st.AggCounts = c.agg.Counts()
@@ -116,7 +116,6 @@ func (c *Curator) Restore(st *CuratorState) error {
 	c.present = copyBoolSet(st.Present)
 	c.prevPresent = copyBoolSet(st.PrevPresent)
 	c.folded = append(c.folded[:0], st.Folded...)
-	c.foldedPacked = st.FoldedPacked
 	c.assignments = maps.Clone(st.Assignments)
 	c.oracle, c.agg = nil, nil
 	if st.AggCounts != nil {

@@ -62,8 +62,8 @@ const (
 // Report payload forms. Form 0, one device's report, is retired: a device
 // ships a one-entry batch, and a form-0 frame is an unknown form.
 const (
-	reportFormSparse byte = 1 // a sparse batch
-	reportFormPacked byte = 2 // a bit-packed batch (the hot path)
+	reportFormSparse byte = 1 // an index-list batch, packed by the curator on receipt
+	reportFormPacked byte = 2 // a bit-packed batch, what devices send
 )
 
 // finishFrame prepends the frame header to a payload.
@@ -182,11 +182,11 @@ func (r *wireReader) users() ([]int, error) {
 	return users, nil
 }
 
-// appendOnes encodes a sparse report as count + delta varints over the
+// appendOnes encodes an index-list report as count + delta varints over the
 // ascending order (the first index absolute, then gaps). Order does not
 // matter to the fold, so sorting is free compression: gaps are small and
-// mostly one-byte. Duplicate indices survive as zero gaps, preserving the
-// report multiset exactly.
+// mostly one-byte. An OUE report names each index at most once, so a
+// repeated index — a zero gap — is rejected here and by the decoder.
 func appendOnes(buf []byte, ones []int) ([]byte, error) {
 	for _, v := range ones {
 		if v < 0 {
@@ -203,6 +203,8 @@ func appendOnes(buf []byte, ones []int) ([]byte, error) {
 	for i, v := range sorted {
 		if i == 0 {
 			buf = binary.AppendUvarint(buf, uint64(v))
+		} else if v == prev {
+			return nil, fmt.Errorf("remote: report bit %d repeated", v)
 		} else {
 			buf = binary.AppendUvarint(buf, uint64(v-prev))
 		}
@@ -225,6 +227,9 @@ func (r *wireReader) ones() ([]int, error) {
 		d, err := r.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && d == 0 {
+			return nil, fmt.Errorf("remote: ones entry %d repeats index %d", i, cur)
 		}
 		cur += d
 		if cur > wireMaxValue {
@@ -304,8 +309,8 @@ func decodeAssignmentsRespPayload(p []byte) ([]Assignment, error) {
 	return as, r.finish()
 }
 
-// EncodeSparseReportFrame builds the binary form of a gateway's sparse
-// report batch.
+// EncodeSparseReportFrame builds report form 1, a batch of index-list
+// reports. The curator packs it on receipt; devices send form 2.
 func EncodeSparseReportFrame(t int, batch []BatchReport) ([]byte, error) {
 	if t < 0 {
 		return nil, fmt.Errorf("remote: timestamp %d is negative and cannot ride the binary wire", t)
@@ -388,7 +393,7 @@ func decodeReportPayload(p []byte) (*reportFrame, error) {
 			return nil, err
 		}
 		if n > r.remaining() {
-			return nil, fmt.Errorf("remote: sparse batch count %d exceeds the %d payload bytes left", n, r.remaining())
+			return nil, fmt.Errorf("remote: index-list batch count %d exceeds the %d payload bytes left", n, r.remaining())
 		}
 		rf.batch = make([]BatchReport, n)
 		for i := range rf.batch {

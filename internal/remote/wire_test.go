@@ -3,10 +3,12 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"retrasyn/internal/ldp"
@@ -54,12 +56,11 @@ func TestAssignmentsRespFrameRoundTrip(t *testing.T) {
 
 // TestReportFrameRoundTrips covers both report forms — a device's
 // one-entry batch among them — including a domain whose size is not a
-// multiple of 8 (partial final byte) and unsorted sparse indices with a
-// duplicate: the delta encoding must preserve the multiset even though it
-// reorders.
+// multiple of 8 (partial final byte) and unsorted index lists: the delta
+// encoding must preserve the set even though it reorders.
 func TestReportFrameRoundTrips(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
-		ones := []int{100, 3, 17, 3, 250000}
+		ones := []int{100, 3, 17, 250000}
 		frame, err := EncodeSparseReportFrame(9, []BatchReport{{User: 31, Ones: ones}})
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +69,7 @@ func TestReportFrameRoundTrips(t *testing.T) {
 		if rf.form != reportFormSparse || rf.t != 9 || len(rf.batch) != 1 || rf.batch[0].User != 31 {
 			t.Fatalf("decoded %+v", rf)
 		}
-		want := []int{3, 3, 17, 100, 250000} // sorted, duplicate kept
+		want := []int{3, 17, 100, 250000} // sorted
 		if !reflect.DeepEqual(rf.batch[0].Ones, want) {
 			t.Fatalf("ones = %v, want %v", rf.batch[0].Ones, want)
 		}
@@ -184,6 +185,9 @@ func TestDecodeReportPayloadRejects(t *testing.T) {
 			uv(1), uv(1), []byte{0xff, 0xff}),
 		"delta chain overflow": build(uv(3), []byte{reportFormSparse}, uv(1), uv(7),
 			uv(3), uv(math.MaxInt32), uv(math.MaxInt32), uv(2)),
+		// A zero gap after the first index names that index twice.
+		"repeated index": build(uv(3), []byte{reportFormSparse}, uv(1), uv(7),
+			uv(3), uv(5), uv(0), uv(2)),
 		// A well-formed single-report payload of the retired form 0.
 		"retired form 0": build(uv(3), []byte{0}, uv(7), uv(1), uv(0)),
 	}
@@ -290,6 +294,7 @@ func FuzzBinaryFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x52, 0x53})
+	f.Add(repeatedIndexFrame(7, 1, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, err := decodeFrame(data)
 		if err != nil {
@@ -305,9 +310,121 @@ func FuzzBinaryFrame(f *testing.F) {
 				}
 			}
 		case frameKindReport:
-			decodeReportPayload(payload)
+			// Whatever decodes reaches the handler of an open round: a frame
+			// the decoder rejects gets 400, any other either folds whole or
+			// gets 4xx and folds nothing, and the round still finalizes.
+			rf, err := decodeReportPayload(payload)
+			code, folded := serveReportFrame(t, data)
+			switch {
+			case err != nil && code != http.StatusBadRequest:
+				t.Fatalf("undecodable report frame got %d, want 400 (%v)", code, err)
+			case code == http.StatusNoContent && folded != len(rf.batch)+len(rf.users):
+				t.Fatalf("accepted frame folded %d reports, carries %d", folded, len(rf.batch)+len(rf.users))
+			case code != http.StatusNoContent && (code/100 != 4 || folded != 0):
+				t.Fatalf("report frame got %d and folded %d reports", code, folded)
+			}
 		}
 	})
+}
+
+// serveReportFrame posts a report frame to a fresh curator whose round 7 is
+// open with user 1 as the whole pool (so sampled), finalizes the round, and
+// returns the status and the number of reports folded.
+func serveReportFrame(t *testing.T, frame []byte) (code, folded int) {
+	t.Helper()
+	cur, err := NewCurator(testConfig(testGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.PresenceBatch([]int{1}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Plan(7); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/report", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", WireContentType)
+	rec := httptest.NewRecorder()
+	NewHandler(cur).ServeHTTP(rec, req)
+	_, folded = cur.Stats()
+	if err := cur.Finalize(7, 1); err != nil {
+		t.Fatalf("finalize after a %d report: %v", rec.Code, err)
+	}
+	return rec.Code, folded
+}
+
+// repeatedIndexFrame hand-builds a form-1 frame in which user's one report
+// names index idx twice — a frame the encoder refuses to build.
+func repeatedIndexFrame(t, user, idx int) []byte {
+	payload := binary.AppendUvarint(nil, uint64(t))
+	payload = append(payload, reportFormSparse)
+	for _, v := range []int{1, user, 2, idx, 0} { // one entry: user, two ones: idx, gap 0
+		payload = binary.AppendUvarint(payload, uint64(v))
+	}
+	return finishFrame(frameKindReport, payload)
+}
+
+// TestRepeatedIndexRejected: an OUE report names each index at most once.
+// A repeated index used to be folded once per repeat — one report
+// [5, 5, 5] added 3 to one state's count — so both boundaries now reject it,
+// naming the entry and the index: the form-1 decoder answers 400 before the
+// round is consulted, and the Go API (ldp.PackReport, hence ReportBatch)
+// returns an error. Either way the open round is untouched.
+func TestRepeatedIndexRejected(t *testing.T) {
+	cur, err := NewCurator(testConfig(testGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(cur))
+	defer srv.Close()
+	sampled := driveRound(t, cur, 0, []int{1, 2, 3, 4, 5, 6, 7, 8})
+	if len(sampled) == 0 {
+		t.Fatal("no users sampled")
+	}
+	u := -1
+	for id := range sampled {
+		if u < 0 || id < u {
+			u = id
+		}
+	}
+	before, err := cur.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := EncodeSparseReportFrame(0, []BatchReport{{User: u, Ones: []int{5, 5}}}); err == nil {
+		t.Error("encoder built a frame with a repeated index")
+	}
+	resp, err := http.Post(srv.URL+"/v1/report", WireContentType, bytes.NewReader(repeatedIndexFrame(0, u, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "batch entry 0") || !strings.Contains(string(body), "repeats index 5") {
+		t.Errorf("repeated-index frame: %d %q, want 400 naming entry 0 and index 5", resp.StatusCode, body)
+	}
+	err = cur.ReportBatch(0, []BatchReport{{User: u, Ones: []int{5, 5, 5}}})
+	if err == nil || !strings.Contains(err.Error(), "batch entry 0") || !strings.Contains(err.Error(), "bit 5 repeated") {
+		t.Errorf("ReportBatch(%d: [5 5 5]) = %v, want an error naming entry 0 and bit 5", u, err)
+	}
+	if _, err := PackReportBatch([]BatchReport{{User: u, Ones: []int{5, 5}}}, cur.DomainSize()); err == nil {
+		t.Error("PackReportBatch accepted a repeated index")
+	}
+
+	after, err := cur.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatal("a rejected repeated-index report changed the open round")
+	}
+	if err := cur.ReportBatch(0, []BatchReport{{User: u, Ones: []int{5}}}); err != nil {
+		t.Fatalf("the user's well-formed report after the rejections: %v", err)
+	}
+	if st, _ := cur.Snapshot(); st.AggN != 1 || st.AggCounts[5] != 1 {
+		t.Fatalf("after one report [5]: agg_n = %d, count[5] = %d, want 1 and 1", st.AggN, st.AggCounts[5])
+	}
 }
 
 // TestStatsReportsWireBytes: the per-endpoint byte ledger in /v1/stats

@@ -12,12 +12,10 @@
 // with the engine's checkpointing (Quiesce + Framework.Snapshot) this gives
 // a durable, resumable curator service.
 //
-// The ingest layer is representation-agnostic: it buffers raw events and
-// hands each timestamp's batch to the engine untouched. Whether a collection
-// round is folded sparse or bit-packed (ldp.PreferPacked) is decided
-// downstream, per round, inside the engine's collector — nothing here
-// inspects or re-encodes reports, so packed rounds flow through at full
-// batch granularity.
+// The ingest layer never sees a report: it buffers raw events and hands each
+// timestamp's batch to the engine untouched. The engine's collector perturbs
+// the round into bit-packed rows and folds them — nothing here inspects or
+// re-encodes reports, so rounds flow through at full batch granularity.
 package service
 
 import (

@@ -9,11 +9,9 @@ import (
 	"time"
 
 	"retrasyn"
-	"retrasyn/internal/ldp"
 	"retrasyn/internal/obs"
 	"retrasyn/internal/service"
 	"retrasyn/internal/trajectory"
-	"retrasyn/internal/transition"
 )
 
 const producers = 8
@@ -137,18 +135,12 @@ func TestConcurrentIngestMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestIngestPassesPackedRoundsThrough pins the ingest layer's
-// representation-agnosticism: the test configuration sits on the packed side
-// of the density crossover, so every collection round inside the engine
-// folds bit-packed — and the concurrent ingest release must still match a
-// sequential replay exactly, proving the ingestor hands batches through
-// untouched rather than re-encoding anything on the way down.
+// TestIngestPassesPackedRoundsThrough pins that the ingest layer never
+// touches a report: the concurrent ingest release must match a sequential
+// replay exactly, proving the ingestor hands batches through untouched
+// rather than re-encoding anything on the way down.
 func TestIngestPassesPackedRoundsThrough(t *testing.T) {
 	orig, g := testData(t)
-	dom := transition.NewDomain(g)
-	if !ldp.PreferPacked(dom.Size(), 1.0) {
-		t.Fatalf("test config (d=%d, ε=1) unexpectedly prefers sparse — pick a denser config", dom.Size())
-	}
 	events, active := retrasyn.NewStreamEvents(orig)
 	sequential := newFramework(t, g, orig, 1)
 	for ts := range events {
