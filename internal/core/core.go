@@ -152,7 +152,6 @@ type Engine struct {
 	// scratch buffers reused across timestamps
 	sampleBuf []trajectory.Event
 	idBuf     []int
-	quitBuf   []int
 	cellBuf   []spatial.Cell  // ReleasedPositions: the live streams' cells
 	posBuf    []spatial.Point // AdaptLayout: the fleet's positions, on engine 0
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"retrasyn/internal/allocation"
@@ -12,10 +13,11 @@ import (
 )
 
 // TestRosterChurnSoak runs 10k population-division rounds in which q users
-// arrive and q quit every round. The roster holds only who can still matter
-// — the present users plus at most w rounds of quitters — and the users
-// section of the checkpoint stays flat once warmed up, instead of growing by
-// q entries a round.
+// arrive and q leave every round — with a Quit event, or silently, by no
+// longer showing up. The roster holds only who can still matter — the
+// present users plus at most w+1 rounds of leavers — and the users section
+// of the checkpoint stays flat once warmed up, instead of growing by q
+// entries a round.
 func TestRosterChurnSoak(t *testing.T) {
 	const (
 		rounds  = 10000
@@ -23,58 +25,64 @@ func TestRosterChurnSoak(t *testing.T) {
 		q       = 5
 		warm    = 1000
 	)
-	opts := defaultOpts(allocation.Population)
-	e, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := opts.Space.NumCells()
-	rng := ldp.NewRand(3, 4)
-	// Ids start at 10^6 so that every id serializes to the same width.
-	next := 1_000_000
-	var live []int
-	var events []trajectory.Event
-	baseBytes := 0
-	for ts := 0; ts < rounds; ts++ {
-		events = events[:0]
-		quits := 0
-		if len(live) >= present {
-			quits = q
-		}
-		kept := live[:0]
-		for i, id := range live {
-			c := spatial.Cell(id % cells)
-			if rng.IntN(len(live)-i) < quits {
-				quits--
-				events = append(events, trajectory.Event{User: id, State: transition.QuitState(c)})
-				continue
-			}
-			events = append(events, trajectory.Event{User: id, State: transition.MoveState(c, c)})
-			kept = append(kept, id)
-		}
-		live = kept
-		for range q {
-			events = append(events, trajectory.Event{User: next, State: transition.EnterState(spatial.Cell(next % cells))})
-			live = append(live, next)
-			next++
-		}
-		if _, err := e.ProcessTimestamp(ts, events, len(events)); err != nil {
-			t.Fatal(err)
-		}
-		if held, bound := len(e.users.status), len(events)+(opts.W+1)*q; held > bound {
-			t.Fatalf("t=%d: roster holds %d users, bound %d", ts, held, bound)
-		}
-		if (ts+1)%warm == 0 {
-			blob, err := json.Marshal(e.users.State())
+	for _, quitEvents := range []bool{true, false} {
+		t.Run(fmt.Sprintf("quit-events=%v", quitEvents), func(t *testing.T) {
+			opts := defaultOpts(allocation.Population)
+			e, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if baseBytes == 0 {
-				baseBytes = len(blob)
-			} else if float64(len(blob)) > 1.1*float64(baseBytes) {
-				t.Fatalf("t=%d: users section %d bytes, %d after warm-up", ts, len(blob), baseBytes)
+			cells := opts.Space.NumCells()
+			rng := ldp.NewRand(3, 4)
+			// Ids start at 10^6 so that every id serializes to the same width.
+			next := 1_000_000
+			var live []int
+			var events []trajectory.Event
+			baseBytes := 0
+			for ts := 0; ts < rounds; ts++ {
+				events = events[:0]
+				quits := 0
+				if len(live) >= present {
+					quits = q
+				}
+				kept := live[:0]
+				for i, id := range live {
+					c := spatial.Cell(id % cells)
+					if rng.IntN(len(live)-i) < quits {
+						quits--
+						if quitEvents {
+							events = append(events, trajectory.Event{User: id, State: transition.QuitState(c)})
+						}
+						continue
+					}
+					events = append(events, trajectory.Event{User: id, State: transition.MoveState(c, c)})
+					kept = append(kept, id)
+				}
+				live = kept
+				for range q {
+					events = append(events, trajectory.Event{User: next, State: transition.EnterState(spatial.Cell(next % cells))})
+					live = append(live, next)
+					next++
+				}
+				if _, err := e.ProcessTimestamp(ts, events, len(events)); err != nil {
+					t.Fatal(err)
+				}
+				if held, bound := len(e.users.status), len(events)+(opts.W+1)*q; held > bound {
+					t.Fatalf("t=%d: roster holds %d users, bound %d", ts, held, bound)
+				}
+				if (ts+1)%warm == 0 {
+					blob, err := json.Marshal(e.users.State())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if baseBytes == 0 {
+						baseBytes = len(blob)
+					} else if float64(len(blob)) > 1.1*float64(baseBytes) {
+						t.Fatalf("t=%d: users section %d bytes, %d after warm-up", ts, len(blob), baseBytes)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/pipeline"
 	"retrasyn/internal/trajectory"
-	"retrasyn/internal/transition"
 )
 
 // The round — the loop body of Algorithm 1 — in its two halves. Everything
@@ -42,9 +41,9 @@ type Collected struct {
 }
 
 // Plan is the first half of round t (Alg. 1 lines 1–12): it checks timestamp
-// ordering, recycles the t−w reporters and registers arrivals (population
-// division), consults the strategy — with the bootstrap override — and draws
-// the reporters.
+// ordering, recycles the t−w reporters, registers arrivals and quits the
+// users absent since the previous round (population division), consults the
+// strategy — with the bootstrap override — and draws the reporters.
 //
 // present holds one item per present user, whatever the driver samples over:
 // the user's event in-process, the user's id on the wire. user extracts the
@@ -67,7 +66,7 @@ func Plan[T any](e *Engine, t int, present []T, user func(T) int, keep func(T) b
 	e.stats.Timestamps++
 
 	// Alg. 1 lines 7–9: recycle the t−w reporters, register arrivals — all
-	// of them, before keep drops any — and pool the active ones.
+	// of them, before keep drops any — pool the active ones, quit the absent.
 	if e.users != nil {
 		e.users.BeginTimestamp(t)
 	}
@@ -80,6 +79,9 @@ func Plan[T any](e *Engine, t int, present []T, user func(T) int, keep func(T) b
 			continue
 		}
 		pool = append(pool, p)
+	}
+	if e.users != nil {
+		e.users.QuitAbsent(t)
 	}
 
 	round := OpenRound{Pool: len(pool)}
@@ -156,12 +158,12 @@ func (e *Engine) ChargeModelConstruction(d time.Duration) { e.stats.Timings.Mode
 // Close is the second half of round t (Alg. 1 lines 13–20): debias the
 // aggregate, refresh the model through the DMU, book the round — roster,
 // window, ledger, meter and the Eq. 9–10 trackers — and step the synthesizer
-// toward activeCount, the publicly known population size. quitters are the
-// users who stop sharing after this round. A round nobody reported in
-// (empty col.Reporters) still closes the timestamp and steps the synthesizer.
+// toward activeCount, the publicly known population size. A round nobody
+// reported in (empty col.Reporters) still closes the timestamp and steps the
+// synthesizer.
 //
 // Close without a matching Plan returns an error and changes nothing.
-func (e *Engine) Close(t int, col Collected, quitters []int, activeCount int) (StepResult, error) {
+func (e *Engine) Close(t int, col Collected, activeCount int) (StepResult, error) {
 	if e.open == nil || t != e.lastT {
 		return StepResult{}, fmt.Errorf("core: Close(%d) without a matching Plan", t)
 	}
@@ -201,12 +203,6 @@ func (e *Engine) Close(t int, col Collected, quitters []int, activeCount int) (S
 		}
 		if e.ledger != nil {
 			e.ledger.RecordRound(t, spent, col.Reporters)
-		}
-	}
-	// Alg. 1 line 8 (after the potential final q_j report): retire quitters.
-	if e.users != nil {
-		for _, id := range quitters {
-			e.users.MarkQuitted(id, t)
 		}
 	}
 	// Window accounting for budget division records actual expenditure.
@@ -260,13 +256,5 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 		}
 		col = Collected{Aggregate: ctx.Aggregate, ErrUpd: ctx.ErrUpd, Reporters: e.idBuf}
 	}
-	e.quitBuf = e.quitBuf[:0]
-	if e.users != nil {
-		for _, ev := range events {
-			if ev.State.Kind == transition.Quit {
-				e.quitBuf = append(e.quitBuf, ev.User)
-			}
-		}
-	}
-	return e.Close(t, col, e.quitBuf, activeCount)
+	return e.Close(t, col, activeCount)
 }

@@ -43,7 +43,7 @@ func TestRoundHalvesMisuse(t *testing.T) {
 	}
 
 	idle := stateBlob(t, e)
-	if _, err := e.Close(0, Collected{}, nil, 0); err == nil {
+	if _, err := e.Close(0, Collected{}, 0); err == nil {
 		t.Fatal("Close without Plan accepted")
 	}
 	unchanged("Close without Plan", idle)
@@ -63,7 +63,7 @@ func TestRoundHalvesMisuse(t *testing.T) {
 		t.Fatal("Plan while a round is open accepted")
 	}
 	unchanged("Plan while a round is open", open)
-	if _, err := e.Close(1, Collected{}, nil, 0); err == nil {
+	if _, err := e.Close(1, Collected{}, 0); err == nil {
 		t.Fatal("Close for another timestamp accepted")
 	}
 	unchanged("Close for another timestamp", open)
@@ -73,7 +73,7 @@ func TestRoundHalvesMisuse(t *testing.T) {
 	unchanged("Relayout with a round open", open)
 
 	// A sampled-but-silent round closes the timestamp and spends nothing.
-	res, err := e.Close(0, Collected{}, nil, len(users))
+	res, err := e.Close(0, Collected{}, len(users))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestOpenRoundSurvivesCheckpoint(t *testing.T) {
 			}
 		}
 		col := Collected{Aggregate: agg, ErrUpd: oracle.Variance(agg.N()), Reporters: folded}
-		if _, err := e.Close(ts, col, nil, len(users)); err != nil {
+		if _, err := e.Close(ts, col, len(users)); err != nil {
 			t.Fatal(err)
 		}
 	}

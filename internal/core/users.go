@@ -19,12 +19,12 @@ const (
 // UserTracker maintains the dynamic active user set for population-division
 // allocation (paper §III-E/F): it registers arrivals, marks reporters
 // inactive, recycles them once they fall outside the sliding window
-// (Alg. 1 line 9), and retires quitted users.
+// (Alg. 1 line 9), and quits the users who stop showing up (QuitAbsent).
 //
 // The roster holds only the users who can still matter: a quitted user is
-// forgotten w timestamps after its quit. Its last report lies at or before
-// the quit, so no window that contains a later round also contains that
-// report; an id that shows up again is a new arrival.
+// forgotten w timestamps after its quit. Its last report lies before the
+// quit, so no window that contains a later round also contains that report;
+// an id that shows up again is a new arrival.
 type UserTracker struct {
 	w      int
 	status map[int]userStatus
@@ -34,6 +34,8 @@ type UserTracker struct {
 	// quits[t % w] holds the users who quitted at timestamp t; they are
 	// forgotten when timestamp t+w begins. A user has at most one entry.
 	quits [][]int
+	// This round's admitted ids, and the previous round's, sorted.
+	admitted, last []int
 }
 
 // NewUserTracker creates a tracker for window size w.
@@ -69,9 +71,10 @@ func (u *UserTracker) BeginTimestamp(t int) {
 }
 
 // Admit registers a user on first sight — unknown users arrive active
-// (Alg. 1 line 7) — and reports whether the user is eligible for sampling:
-// one roster lookup per present user per round.
+// (Alg. 1 line 7) — notes it present at this round and reports whether it
+// is eligible for sampling: one roster lookup per present user per round.
 func (u *UserTracker) Admit(id int) bool {
+	u.admitted = append(u.admitted, id)
 	s, ok := u.status[id]
 	if !ok {
 		s = statusActive
@@ -88,18 +91,28 @@ func (u *UserTracker) MarkReported(id, t int) {
 	u.reported[slot] = append(u.reported[slot], id)
 }
 
-// MarkQuitted retires a user at timestamp t (Alg. 1 line 8): it is never
-// recycled, and is forgotten when timestamp t+w begins. Quitting a user who
-// is already quitted changes nothing — in particular not the round it is
-// forgotten at, which a second ring entry would bring forward into the
-// window of a report made after a re-admission.
-func (u *UserTracker) MarkQuitted(id, t int) {
-	if u.status[id] == statusQuitted {
-		return
+// QuitAbsent ends round t's admissions with the quit rule (Alg. 1 line 8):
+// a user admitted at the previous round and not at t is quitted at t, never
+// recycled, and forgotten when t+w begins. Both rounds' ids are sorted
+// (linear on sorted input) and merged, so quitters are booked in id order.
+// A user already quitted or forgotten books nothing: a second ring entry
+// would move its forgetting into the window of a later report.
+func (u *UserTracker) QuitAbsent(t int) {
+	slices.Sort(u.admitted)
+	i := 0
+	for _, id := range u.last {
+		for i < len(u.admitted) && u.admitted[i] < id {
+			i++
+		}
+		if i < len(u.admitted) && u.admitted[i] == id {
+			continue
+		}
+		if s, ok := u.status[id]; ok && s != statusQuitted {
+			u.status[id] = statusQuitted
+			u.quits[t%u.w] = append(u.quits[t%u.w], id)
+		}
 	}
-	u.status[id] = statusQuitted
-	slot := t % u.w
-	u.quits[slot] = append(u.quits[slot], id)
+	u.last, u.admitted = u.admitted, u.last[:0]
 }
 
 // FirstRepeat returns the index of the first item whose id repeats an
@@ -167,8 +180,9 @@ func (u *UserTracker) State() UserTrackerState {
 
 // Restore replaces the tracker's state with a previously exported one. The
 // window size must match, every status must be known, Active must count the
-// active users, and every quit-ring entry must name a quitted user once. On
-// error the tracker is unchanged.
+// active users, the reported ring must hold each inactive user and quit ring
+// each quitted one, and no user twice. The users not quitted come back as
+// the previous round's admissions. On error the tracker is unchanged.
 func (u *UserTracker) Restore(st UserTrackerState) error {
 	if st.W != u.w || len(st.Reported) != u.w {
 		return fmt.Errorf("core: UserTracker.Restore window %d (slots %d) ≠ w %d", st.W, len(st.Reported), u.w)
@@ -177,6 +191,7 @@ func (u *UserTracker) Restore(st UserTrackerState) error {
 		return fmt.Errorf("core: UserTracker.Restore quit ring has %d slots ≠ w %d", len(st.Quits), u.w)
 	}
 	status := make(map[int]userStatus, len(st.Status))
+	var last []int
 	active := 0
 	for id, s := range st.Status {
 		if s > uint8(statusQuitted) {
@@ -185,24 +200,27 @@ func (u *UserTracker) Restore(st UserTrackerState) error {
 		if userStatus(s) == statusActive {
 			active++
 		}
-		status[id] = userStatus(s)
+		if status[id] = userStatus(s); status[id] != statusQuitted {
+			last = append(last, id)
+		}
 	}
 	if active != st.Active {
 		return fmt.Errorf("core: UserTracker.Restore active count %d ≠ %d active users in the roster", st.Active, active)
 	}
-	var ring []int
-	for _, ids := range st.Quits {
-		for _, id := range ids {
-			if status[id] != statusQuitted {
-				return fmt.Errorf("core: UserTracker.Restore quit ring holds user %d, which is not quitted", id)
-			}
+	reported, err := ringIDs("reported", "inactive or quitted", st.Reported, status, func(s userStatus) bool { return s != statusActive })
+	if err != nil {
+		return err
+	}
+	if _, err := ringIDs("quit", "quitted", st.Quits, status, func(s userStatus) bool { return s == statusQuitted }); err != nil {
+		return err
+	}
+	for _, id := range last {
+		if _, in := slices.BinarySearch(reported, id); status[id] == statusInactive && !in {
+			return fmt.Errorf("core: UserTracker.Restore inactive user %d sits in no reported slot", id)
 		}
-		ring = append(ring, ids...)
 	}
-	if i, _ := FirstRepeat(ring, func(id int) int { return id }, nil); i >= 0 {
-		return fmt.Errorf("core: UserTracker.Restore quit ring holds user %d twice", ring[i])
-	}
-	u.status = status
+	slices.Sort(last)
+	u.status, u.last, u.admitted = status, last, u.admitted[:0]
 	for i := range u.reported {
 		u.reported[i] = append([]int(nil), st.Reported[i]...)
 		u.quits[i] = nil
@@ -211,4 +229,20 @@ func (u *UserTracker) Restore(st UserTrackerState) error {
 		}
 	}
 	return nil
+}
+
+// ringIDs returns a ring's ids, sorted, after checking that each names a
+// roster user whose status passes ok, and that none appears twice.
+func ringIDs(ring, want string, slots [][]int, status map[int]userStatus, ok func(userStatus) bool) ([]int, error) {
+	ids := slices.Concat(slots...)
+	for _, id := range ids {
+		if s, known := status[id]; !known || !ok(s) {
+			return nil, fmt.Errorf("core: UserTracker.Restore %s ring holds user %d, which is not %s", ring, id, want)
+		}
+	}
+	i, sorted := FirstRepeat(ids, func(id int) int { return id }, nil)
+	if i >= 0 {
+		return nil, fmt.Errorf("core: UserTracker.Restore %s ring holds user %d twice", ring, ids[i])
+	}
+	return sorted, nil
 }

@@ -46,8 +46,10 @@ func TestUserTrackerLifecycle(t *testing.T) {
 func TestUserTrackerQuitNotRecycled(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(7)
+	u.QuitAbsent(0)
 	u.MarkReported(7, 0)
-	u.MarkQuitted(7, 0)
+	u.BeginTimestamp(1)
+	u.QuitAbsent(1)     // absent at 1: quitted
 	u.BeginTimestamp(2) // would recycle a non-quitted user
 	if isActive(u, 7) {
 		t.Fatal("quitted user recycled")
@@ -60,14 +62,42 @@ func TestUserTrackerQuitNotRecycled(t *testing.T) {
 func TestUserTrackerQuitWhileActive(t *testing.T) {
 	u := NewUserTracker(2)
 	u.Admit(3)
-	u.MarkQuitted(3, 0)
+	u.QuitAbsent(0)
+	u.QuitAbsent(1)
 	if numActive(u) != 0 {
 		t.Fatalf("active = %d", numActive(u))
 	}
-	// Quitting twice stays consistent.
-	u.MarkQuitted(3, 0)
-	if numActive(u) != 0 {
-		t.Fatalf("active after double quit = %d", numActive(u))
+	// Back while quitted, then absent again: the second absence books no
+	// second quit.
+	if u.Admit(3) {
+		t.Fatal("quitted user admitted")
+	}
+	u.QuitAbsent(2)
+	u.QuitAbsent(3)
+	if n := len(slices.Concat(u.quits...)); numActive(u) != 0 || n != 1 {
+		t.Fatalf("active = %d, quit ring holds %d entries after a second absence", numActive(u), n)
+	}
+}
+
+// TestUserTrackerQuitAbsent: a user admitted at the previous round and not
+// at this one is quitted at this one, in id order, whatever order the ids
+// arrive in; users present at both rounds, and arrivals, are untouched.
+func TestUserTrackerQuitAbsent(t *testing.T) {
+	u := NewUserTracker(4)
+	for _, id := range []int{9, 4, 7, 1, 6} {
+		u.Admit(id)
+	}
+	u.QuitAbsent(0)
+	u.BeginTimestamp(1)
+	for _, id := range []int{6, 2, 4} {
+		u.Admit(id)
+	}
+	u.QuitAbsent(1)
+	if got, want := u.quits[1], []int{1, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("quitted at 1: %v, want %v", got, want)
+	}
+	if numActive(u) != 3 {
+		t.Fatalf("active = %d, want the 3 present users", numActive(u))
 	}
 }
 
@@ -140,8 +170,11 @@ func TestUserTrackerAdmit(t *testing.T) {
 		u.Admit(1) // active
 		u.Admit(2) // reported at t=0: inactive
 		u.MarkReported(2, 0)
-		u.Admit(3) // quitted
-		u.MarkQuitted(3, 0)
+		u.Admit(3)
+		u.QuitAbsent(0)
+		u.Admit(1)
+		u.Admit(2)
+		u.QuitAbsent(1) // 3 absent at 1: quitted
 	}
 	tests := []struct {
 		name       string
@@ -225,15 +258,18 @@ func TestUserTrackerForgetsQuitted(t *testing.T) {
 	const w = 3
 	u := NewUserTracker(w)
 	u.Admit(5)
+	u.QuitAbsent(0)
 	u.MarkReported(5, 0)
-	u.MarkQuitted(5, 0)
-	for tt := 1; tt < w; tt++ {
+	u.BeginTimestamp(1)
+	u.QuitAbsent(1) // absent at 1: quitted
+	for tt := 2; tt <= w; tt++ {
 		u.BeginTimestamp(tt)
 		if u.Admit(5) {
 			t.Fatalf("t=%d: quitted user admitted", tt)
 		}
+		u.QuitAbsent(tt)
 	}
-	u.BeginTimestamp(w)
+	u.BeginTimestamp(1 + w)
 	if _, known := u.status[5]; known {
 		t.Fatalf("quitted user still held at t+w: %v", u.State())
 	}
@@ -243,52 +279,47 @@ func TestUserTrackerForgetsQuitted(t *testing.T) {
 }
 
 // TestUserTrackerRequitKeepsForgetRound pins the stale-entry trap: a
-// flapping user quits at 1, reappears, is quitted again at 3, is forgotten
-// at 1+w, re-admitted, reports and quits at 1+w. A second quit-ring entry
-// from t=3 would forget it at 3+w, inside its report's window.
+// flapping user present at 0, 2, 1+w and 3+w is quitted at 1, comes back
+// while quitted, is absent again at 3, is forgotten and re-admitted at 1+w,
+// reports, and is quitted at 2+w. A second quit-ring entry from t=3 would
+// forget it at 3+w, inside its report's window.
 func TestUserTrackerRequitKeepsForgetRound(t *testing.T) {
 	const w = 5
 	u := NewUserTracker(w)
-	u.BeginTimestamp(0)
-	u.Admit(9)
-	u.MarkReported(9, 0)
-	u.BeginTimestamp(1)
-	u.MarkQuitted(9, 1)
-	for tt := 2; tt <= 1+w; tt++ {
+	present := map[int]bool{0: true, 2: true, 1 + w: true, 3 + w: true}
+	for tt := 0; tt <= 3+w; tt++ {
 		u.BeginTimestamp(tt)
-		admitted := u.Admit(9)
-		if tt == 3 {
-			u.MarkQuitted(9, tt)
+		if present[tt] {
+			admitted := u.Admit(9)
+			if want := tt == 0 || tt == 1+w; admitted != want {
+				t.Fatalf("t=%d: Admit = %v, want %v", tt, admitted, want)
+			}
+			if admitted {
+				u.MarkReported(9, tt)
+			}
 		}
-		if want := tt == 1+w; admitted != want {
-			t.Fatalf("t=%d: Admit = %v, want %v", tt, admitted, want)
-		}
-	}
-	u.MarkReported(9, 1+w)
-	u.MarkQuitted(9, 1+w)
-	for tt := 2 + w; tt < 1+2*w; tt++ {
-		u.BeginTimestamp(tt)
-		if u.Admit(9) {
-			t.Fatalf("t=%d: user re-admitted within the window of its report at %d", tt, 1+w)
-		}
+		u.QuitAbsent(tt)
 	}
 	if n := len(slices.Concat(u.quits...)); n != 1 {
 		t.Fatalf("quit ring holds %d entries, want 1", n)
 	}
 }
 
-// TestUserTrackerQuitUnknown: an inferred quit of an id the roster does not
-// hold (a forgotten user) must not touch the active count.
+// TestUserTrackerQuitUnknown: a user forgotten while it was present (back
+// while quitted) and then absent is not booked again — the roster does not
+// hold it, and the active count is untouched.
 func TestUserTrackerQuitUnknown(t *testing.T) {
-	u := NewUserTracker(2)
-	u.Admit(1)
-	u.MarkQuitted(42, 0)
-	if numActive(u) != 1 {
-		t.Fatalf("active = %d after quitting an unknown id, want 1", numActive(u))
+	const w = 2
+	u := NewUserTracker(w)
+	for tt, present := range [][]int{{1, 42}, {1}, {1, 42}, {1}} {
+		u.BeginTimestamp(tt) // forgets 42, quitted at 1, when t=3 begins
+		for _, id := range present {
+			u.Admit(id)
+		}
+		u.QuitAbsent(tt)
 	}
-	u.BeginTimestamp(2)
-	if _, known := u.status[42]; known || len(u.status) != 1 {
-		t.Fatalf("unknown quitter not forgotten: %v", u.State())
+	if _, known := u.status[42]; known || numActive(u) != 1 || len(slices.Concat(u.quits...)) != 0 {
+		t.Fatalf("forgotten user booked again: %+v", u.State())
 	}
 }
 
@@ -298,10 +329,11 @@ func TestUserTrackerQuitUnknown(t *testing.T) {
 func TestUserTrackerStateQuitRing(t *testing.T) {
 	u := NewUserTracker(3)
 	u.Admit(1)
+	u.QuitAbsent(3)
 	if st := u.State(); st.Quits != nil {
 		t.Fatalf("empty ring exported: %v", st.Quits)
 	}
-	u.MarkQuitted(1, 4)
+	u.QuitAbsent(4)
 	blob, err := json.Marshal(u.State())
 	if err != nil {
 		t.Fatal(err)
@@ -387,6 +419,35 @@ func TestUserTrackerRestoreRejectsRingDuplicate(t *testing.T) {
 	restoreRejects(t, st, "user 4 twice")
 }
 
+func TestUserTrackerRestoreRejectsReportedUnknown(t *testing.T) {
+	st := validRoster()
+	st.Reported[1] = []int{77}
+	restoreRejects(t, st, "reported ring holds user 77, which is not inactive or quitted")
+}
+
+func TestUserTrackerRestoreRejectsReportedActive(t *testing.T) {
+	st := validRoster()
+	st.Reported[1] = []int{1}
+	restoreRejects(t, st, "reported ring holds user 1, which is not inactive or quitted")
+	// An inactive user that is never recycled, beside an active one in the
+	// ring and a stranger.
+	st = UserTrackerState{W: 3, Status: map[int]uint8{7: uint8(statusInactive), 8: uint8(statusActive)},
+		Reported: [][]int{{8}, {9}, nil}, Active: 1}
+	restoreRejects(t, st, "reported ring holds user 8")
+}
+
+func TestUserTrackerRestoreRejectsReportedDuplicate(t *testing.T) {
+	st := validRoster()
+	st.Reported[2] = []int{2}
+	restoreRejects(t, st, "reported ring holds user 2 twice")
+}
+
+func TestUserTrackerRestoreRejectsInactiveUnslotted(t *testing.T) {
+	st := validRoster()
+	st.Reported[0] = nil
+	restoreRejects(t, st, "inactive user 2 sits in no reported slot")
+}
+
 func TestUserTrackerRestoreValidRoster(t *testing.T) {
 	u := NewUserTracker(3)
 	if err := u.Restore(validRoster()); err != nil {
@@ -394,6 +455,28 @@ func TestUserTrackerRestoreValidRoster(t *testing.T) {
 	}
 	if !reflect.DeepEqual(u.State(), validRoster()) {
 		t.Fatalf("restored %+v", u.State())
+	}
+	// A quitted user may still await its recycle slot.
+	st := validRoster()
+	st.Reported[1] = []int{3}
+	if err := u.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUserTrackerRestoreQuitsAbsent: a restored tracker takes the users it
+// does not hold as quitted to be the previous round's admissions, so the
+// next round quits those of them that are absent.
+func TestUserTrackerRestoreQuitsAbsent(t *testing.T) {
+	u := NewUserTracker(3)
+	if err := u.Restore(validRoster()); err != nil {
+		t.Fatal(err)
+	}
+	u.BeginTimestamp(4)
+	u.Admit(1)
+	u.QuitAbsent(4)
+	if u.status[2] != statusQuitted || !slices.Equal(u.quits[1], []int{2}) {
+		t.Fatalf("absent user 2 not quitted at 4: %+v", u.State())
 	}
 }
 

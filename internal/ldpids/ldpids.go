@@ -185,6 +185,9 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 		e.users.BeginTimestamp(t)
 	}
 	pool := e.eligible(events)
+	if e.users != nil {
+		e.users.QuitAbsent(t)
+	}
 	if len(pool) > 0 {
 		if e.opts.Method.IsPopulation() {
 			e.stepPopulation(t, pool)
@@ -193,13 +196,6 @@ func (e *Engine) ProcessTimestamp(t int, events []trajectory.Event, activeCount 
 		}
 	} else if e.pubWin != nil {
 		e.pubWin.Record(0)
-	}
-	if e.users != nil {
-		for _, ev := range events {
-			if ev.State.Kind == transition.Quit {
-				e.users.MarkQuitted(ev.User, t)
-			}
-		}
 	}
 
 	// Synthesis: constant-size never-terminating streams from r_t.

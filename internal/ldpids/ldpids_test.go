@@ -1,6 +1,7 @@
 package ldpids
 
 import (
+	"slices"
 	"testing"
 
 	"retrasyn/internal/grid"
@@ -152,7 +153,8 @@ func TestPopulationMethodsUserInvariant(t *testing.T) {
 
 // TestPopulationRosterAdmitsEnterAndQuit: users whose only event is an
 // enter or a quit — no movement state, so never eligible — are still
-// registered on the roster, ahead of the domain filter.
+// registered on the roster, ahead of the domain filter. The user who sent
+// its quit at round 0 is quitted when it is absent, at round 1.
 func TestPopulationRosterAdmitsEnterAndQuit(t *testing.T) {
 	e, err := New(opts(LPD))
 	if err != nil {
@@ -163,7 +165,7 @@ func TestPopulationRosterAdmitsEnterAndQuit(t *testing.T) {
 		{User: 2, State: transition.MoveState(0, 1)},
 		{User: 3, State: transition.QuitState(5)},
 	}
-	e.EnableLedger(1)
+	e.EnableLedger(2)
 	e.ProcessTimestamp(0, events, 2)
 	st := e.users.State()
 	for _, id := range []int{1, 2, 3} {
@@ -171,8 +173,46 @@ func TestPopulationRosterAdmitsEnterAndQuit(t *testing.T) {
 			t.Fatalf("user %d not registered", id)
 		}
 	}
-	if e.users.State().Active != 1 { // 2 reported, 3 quitted
-		t.Fatalf("active = %d, want 1", e.users.State().Active)
+	if st.Active != 2 { // 2 reported
+		t.Fatalf("active = %d, want 2", st.Active)
+	}
+	e.ProcessTimestamp(1, events[:2], 2)
+	if st = e.users.State(); len(st.Quits) < 2 || !slices.Equal(st.Quits[1], []int{3}) {
+		t.Fatalf("quit ring %v, want user 3 quitted at round 1", st.Quits)
+	}
+}
+
+// TestPopulationRosterSilentDeparture: users who stop sending events, with
+// no quit event, are quitted at their first absent round and forgotten w
+// rounds later: the roster holds no more than the present users plus w+1
+// rounds of leavers.
+func TestPopulationRosterSilentDeparture(t *testing.T) {
+	const rounds, present, churn = 200, 60, 5
+	o := opts(LPD)
+	e, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnableLedger(rounds)
+	var live []int
+	var events []trajectory.Event
+	for ts, next := 0, 0; ts < rounds; ts++ {
+		if len(live) >= present {
+			live = live[churn:] // the oldest users vanish, sending nothing
+		}
+		events = events[:0]
+		for _, id := range live {
+			events = append(events, trajectory.Event{User: id, State: transition.MoveState(0, 1)})
+		}
+		for range churn {
+			events = append(events, trajectory.Event{User: next, State: transition.EnterState(0)})
+			live = append(live, next)
+			next++
+		}
+		e.ProcessTimestamp(ts, events, len(events))
+		if held, bound := len(e.users.State().Status), len(events)+(o.W+1)*churn; held > bound {
+			t.Fatalf("t=%d: roster holds %d users, bound %d", ts, held, bound)
+		}
 	}
 }
 

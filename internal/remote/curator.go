@@ -23,8 +23,8 @@
 // The round itself — sampling, debiasing, the DMU, roster / window / ledger
 // bookkeeping, synthesis, migration — is internal/core's: the Curator drives
 // one core.Engine through its Plan and Close halves and keeps only what is
-// specific to the wire (presence sets, assignments, the open round's
-// aggregate, report validation).
+// specific to the wire (the presence set, assignments, the open round's
+// aggregate, report validation). The roster quits a silent device itself.
 package remote
 
 import (
@@ -73,7 +73,6 @@ type Curator struct {
 	// Wire state: who announced presence, and the open round's assignments
 	// and partial aggregate.
 	present        map[int]bool // users who announced presence for t
-	prevPresent    map[int]bool // presence at t−1, for quit inference
 	assignments    map[int]Assignment
 	agg            *ldp.Aggregator
 	oracle         *ldp.OUE
@@ -107,15 +106,14 @@ func NewCurator(cfg CuratorConfig) (*Curator, error) {
 		return nil, err
 	}
 	c := &Curator{
-		division:    cfg.Division,
-		eng:         eng,
-		ctl:         ctl,
-		mon:         mon,
-		present:     make(map[int]bool),
-		prevPresent: make(map[int]bool),
-		reg:         reg,
-		metrics:     newCuratorMetrics(reg),
-		logger:      discardLogger(),
+		division: cfg.Division,
+		eng:      eng,
+		ctl:      ctl,
+		mon:      mon,
+		present:  make(map[int]bool),
+		reg:      reg,
+		metrics:  newCuratorMetrics(reg),
+		logger:   discardLogger(),
 	}
 	c.metrics.domainSize.Set(float64(eng.Domain().Size()))
 	return c, nil
@@ -166,8 +164,8 @@ func (c *Curator) PresenceEvents() int64 {
 }
 
 // Plan closes presence collection for timestamp t and opens the round: the
-// engine recycles the window, decides the round and samples; the sample
-// becomes the per-user assignments.
+// engine recycles the window, quits the silent users, decides the round and
+// samples; the sample becomes the per-user assignments.
 func (c *Curator) Plan(t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,9 +365,9 @@ func (c *Curator) commitPackedBatch(t, d int, users []int, packed *ldp.PackedBat
 }
 
 // Finalize closes timestamp t: the engine debiases whatever reports arrived,
-// applies the DMU update, retires the users inferred to have quit and
-// advances the synthesizer toward activeCount (the public population size);
-// then the released stream is observed and, when due, the layout migrates.
+// applies the DMU update and advances the synthesizer toward activeCount (the
+// public population size); then the released stream is observed and, when
+// due, the layout migrates.
 func (c *Curator) Finalize(t, activeCount int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,21 +383,11 @@ func (c *Curator) Finalize(t, activeCount int) error {
 			Reporters: c.folded,
 		}
 	}
-	// Quit inference: users present at t−1 but silent at t have stopped
-	// sharing. Map order is random; the roster's quit ring, and so the
-	// checkpoint, keeps the order given, so sort it.
-	var quitters []int
-	for id := range c.prevPresent {
-		if !c.present[id] {
-			quitters = append(quitters, id)
-		}
-	}
-	slices.Sort(quitters)
-	res, err := c.eng.Close(t, col, quitters, activeCount)
+	res, err := c.eng.Close(t, col, activeCount)
 	if err != nil {
 		return c.roundError("finalize", t, fmt.Errorf("remote: %w", err))
 	}
-	c.prevPresent, c.present = c.present, make(map[int]bool)
+	c.present = make(map[int]bool)
 	c.assignments, c.oracle, c.agg = nil, nil, nil
 	c.folded = c.folded[:0]
 	if res.Reported {

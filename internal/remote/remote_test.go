@@ -226,7 +226,7 @@ func TestClientStateAt(t *testing.T) {
 // TestQuitInference: a device present at t_q−1 and silent at t_q is
 // inferred to have quit at t_q. A confused device that keeps reappearing is
 // not sampleable for rounds t_q+1 … t_q+w−1; from t_q+w on it is forgotten
-// and re-admitted as a new arrival — its last report lies at or before t_q,
+// and re-admitted as a new arrival — its last report lies before t_q,
 // outside every window that contains the re-admission round.
 func TestQuitInference(t *testing.T) {
 	g := testGrid()

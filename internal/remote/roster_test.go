@@ -1,9 +1,12 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"retrasyn/internal/allocation"
@@ -166,4 +169,65 @@ func rosterLen(t *testing.T, cur *Curator) int {
 		t.Fatal(err)
 	}
 	return len(st.Engine.Users.Status)
+}
+
+// TestParentMidRoundSnapshotQuitsLater: a snapshot written inside a round by
+// a curator that inferred quits at Finalize carries "prev_present", and its
+// roster has not yet quitted the users absent in the open round. It still
+// restores, and those users are quitted at their next absence, one round
+// later than an uninterrupted run quits them.
+func TestParentMidRoundSnapshotQuitsLater(t *testing.T) {
+	const quitted = 2 // the roster's status code for a quitted user
+	open := func(c *Curator, ts int, users ...int) {
+		t.Helper()
+		if err := c.PresenceBatch(users, ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Plan(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, _ := NewCurator(testConfig(testGrid()))
+	open(cur, 0, 1, 2)
+	if err := cur.Finalize(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	open(cur, 1, 1) // user 2 is absent, so Plan quits it
+	st, err := cur.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Write the state as the parent did: user 2 not yet quitted, and the
+	// presence at 0 on the side.
+	users := st.Engine.Users
+	users.Quits, users.Status[2] = nil, 0
+	if slices.Contains(users.Reported[0], 2) {
+		users.Status[2] = 1
+	} else {
+		users.Active++
+	}
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = bytes.Replace(blob, []byte(`"present":`), []byte(`"prev_present":{"1":true,"2":true},"present":`), 1)
+	var parent CuratorState
+	if err := json.Unmarshal(blob, &parent); err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := NewCurator(testConfig(testGrid()))
+	if err := restored.Restore(&parent); err != nil {
+		t.Fatalf("parent mid-round snapshot rejected: %v", err)
+	}
+	if err := restored.Finalize(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	open(restored, 2, 1)
+	after, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Engine.Users; got.Status[2] != quitted || len(got.Quits) <= 2 || !slices.Equal(got.Quits[2], []int{2}) {
+		t.Fatalf("user 2 absent since 1 not quitted at 2: %+v", got)
+	}
 }

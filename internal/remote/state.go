@@ -35,14 +35,13 @@ type CuratorState struct {
 	// after a restore match the uninterrupted curator exactly.
 	Relayout *relayout.ControllerState `json:"relayout,omitempty"`
 
-	Present     map[int]bool `json:"present"`
-	PrevPresent map[int]bool `json:"prev_present"`
+	Present map[int]bool `json:"present"`
 
 	// The open round's wire state (all empty between rounds): assignments
 	// not yet answered, the users whose reports were folded, and the partial
-	// aggregate. AggCounts is nil when the round samples nobody. (A
-	// checkpoint from before every report was folded packed may also carry
-	// "folded_packed"; decoding ignores it.)
+	// aggregate. AggCounts is nil when the round samples nobody. (Older
+	// checkpoints may also carry "folded_packed" or "prev_present";
+	// decoding ignores both.)
 	Assignments map[int]Assignment `json:"assignments,omitempty"`
 	Folded      []int              `json:"folded,omitempty"`
 	AggCounts   []int              `json:"agg_counts,omitempty"`
@@ -63,8 +62,7 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 		Version:     CuratorStateVersion,
 		Engine:      eng,
 		Relayout:    &ctlState,
-		Present:     copyBoolSet(c.present),
-		PrevPresent: copyBoolSet(c.prevPresent),
+		Present:     maps.Clone(c.present),
 		Assignments: maps.Clone(c.assignments),
 		Folded:      slices.Clone(c.folded),
 	}
@@ -113,8 +111,8 @@ func (c *Curator) Restore(st *CuratorState) error {
 	if st.AggCounts != nil && len(st.AggCounts) != d {
 		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), d)
 	}
-	c.present = copyBoolSet(st.Present)
-	c.prevPresent = copyBoolSet(st.PrevPresent)
+	c.present = make(map[int]bool, len(st.Present))
+	maps.Copy(c.present, st.Present)
 	c.folded = append(c.folded[:0], st.Folded...)
 	c.assignments = maps.Clone(st.Assignments)
 	c.oracle, c.agg = nil, nil
@@ -127,12 +125,4 @@ func (c *Curator) Restore(st *CuratorState) error {
 	c.metrics.generation.Set(float64(c.eng.Generation()))
 	c.metrics.domainSize.Set(float64(d))
 	return nil
-}
-
-func copyBoolSet(m map[int]bool) map[int]bool {
-	cp := make(map[int]bool, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
 }

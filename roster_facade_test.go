@@ -12,10 +12,11 @@ import (
 )
 
 // flappingEvents returns each round's events. User 1000 runs alone first,
-// present at 0, 2, 1+w and 3+w: it quits at 0, reappears and quits again at
-// 2, is forgotten at w, re-admitted at 1+w, and quits there. Had the second
-// quit been booked, its status would be forgotten at 2+w and the user
-// sampled twice inside one window. Then users 0…n−1 flap at random: a
+// present at 0, 2, 1+w and 3+w: it is quitted at 1 (its first absent
+// round), reappears, is absent again at 3, is forgotten and re-admitted at
+// 1+w, and is quitted at 2+w. Had the second absence been booked as a quit,
+// its status would be forgotten at 3+w and the user sampled twice inside
+// one window. Then users 0…n−1 flap at random: a
 // present user stays with probability 0.6, an absent one appears with
 // probability 0.3. A user enters when it appears, moves while it stays and
 // sends its quit in its last present round.
@@ -104,6 +105,53 @@ func TestFrameworkRosterWindowProperty(t *testing.T) {
 					t.Fatalf("a user spent %v inside one window, ε = %v", got, opts.Epsilon)
 				}
 			})
+		}
+	}
+}
+
+// TestFrameworkRosterSilentDeparture: users who leave without a Quit event
+// — a device that drops, a feed cut short — are quitted at their first
+// absent round and forgotten w rounds later, on every shard. The rosters
+// hold no more than the present users plus w+1 rounds of leavers.
+func TestFrameworkRosterSilentDeparture(t *testing.T) {
+	const rounds, present, churn, w = 200, 60, 5, 5
+	g, err := NewGrid(4, Bounds{MaxX: 1, MaxY: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := New(Options{Grid: g, Epsilon: 1, Window: w, Division: PopulationDivision, Lambda: 6, Shards: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []int
+	var events []Event
+	for ts, next := 0, 0; ts < rounds; ts++ {
+		if len(live) >= present {
+			live = live[churn:] // the oldest users vanish, sending nothing
+		}
+		events = events[:0]
+		for _, id := range live {
+			c := spatial.Cell(id % g.NumCells())
+			events = append(events, Event{User: id, State: transition.MoveState(c, c)})
+		}
+		for range churn {
+			events = append(events, Event{User: next, State: transition.EnterState(spatial.Cell(next % g.NumCells()))})
+			live = append(live, next)
+			next++
+		}
+		if err := fw.ProcessTimestamp(events, len(events)); err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, e := range fw.engines {
+			st, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held += len(st.Users.Status)
+		}
+		if bound := len(events) + (w+1)*churn; held > bound {
+			t.Fatalf("t=%d: rosters hold %d users, bound %d", ts, held, bound)
 		}
 	}
 }
