@@ -1,11 +1,9 @@
 // Command loadgen replays a RetraSyn transition-id stream as live traffic
-// and measures what the collection stack sustains. In "http" mode it stands
-// in for the whole device population: concurrent gateway shards announce
-// presence, poll sampling assignments, perturb the sampled users' states
-// locally (OUE) and ship batched reports to a running curator while a
-// coordinator ticks Plan/Finalize — the full per-timestamp protocol at ×K
-// wall-clock speed. In "ingest" mode it drives an in-process engine through
-// the service ingest layer instead, exercising the backpressure path.
+// and measures what the collection stack sustains. It stands in for the
+// whole device population: concurrent gateway shards announce presence,
+// poll sampling assignments, perturb the sampled users' states locally (OUE)
+// and ship batched reports to a running curator while a coordinator ticks
+// Plan/Finalize — the full per-timestamp protocol at ×K wall-clock speed.
 //
 // The run ends with a loss ledger (every emitted event accounted for by the
 // curator's own counters) and a BENCH_replay.json of sustained throughput
@@ -32,7 +30,6 @@ import (
 	"retrasyn/internal/dataset"
 	"retrasyn/internal/ldp"
 	"retrasyn/internal/remote"
-	"retrasyn/internal/service"
 	"retrasyn/internal/trajectory"
 	"retrasyn/internal/transition"
 )
@@ -40,22 +37,16 @@ import (
 func main() {
 	var (
 		data     = flag.String("data", "", "transition-id stream to replay (.xz or plain; required)")
-		mode     = flag.String("mode", "http", `"http" (replay against a live curator) or "ingest" (drive an in-process engine through the ingest layer)`)
-		curator  = flag.String("curator", "http://localhost:8080", "curator base URL (http mode)")
+		curator  = flag.String("curator", "http://localhost:8080", "curator base URL")
 		gateways = flag.Int("gateways", 4, "concurrent gateway shards")
 		speed    = flag.Float64("speed", 0, "wall-clock speedup ×K over -tick (0 = unpaced: as fast as the stack sustains)")
 		tick     = flag.Duration("tick", time.Second, "logical duration of one timestamp at ×1")
-		k        = flag.Int("k", 6, "grid granularity K (http mode: must match the curator)")
+		k        = flag.Int("k", 6, "grid granularity K (must match the curator)")
 		boundMin = flag.Float64("boundsMin", 0, "spatial lower bound (both axes)")
 		boundMax = flag.Float64("boundsMax", 30, "spatial upper bound (both axes)")
-		seed     = flag.Uint64("seed", 2024, "perturbation seed (and engine seed in ingest mode)")
-		eps      = flag.Float64("eps", 1.0, "privacy budget ε (ingest mode)")
-		w        = flag.Int("w", 20, "window size w (ingest mode)")
-		lambda   = flag.Float64("lambda", 13.6, "synthesis termination factor λ (ingest mode)")
-		shards   = flag.Int("shards", 1, "engine shards (ingest mode)")
-		scrape   = flag.Bool("scrape", false, "poll the curator's /metrics before and after the replay (http mode) and embed the series deltas in the report")
+		seed     = flag.Uint64("seed", 2024, "perturbation seed")
+		scrape   = flag.Bool("scrape", false, "poll the curator's /metrics before and after the replay and embed the series deltas in the report")
 		out      = flag.String("out", "BENCH_replay.json", "benchmark report path")
-		maxBuf   = flag.Int("max-pending", 0, "ingest buffer bound in events (ingest mode; 0 = service default)")
 		loss     = flag.Bool("allow-loss", false, "exit 0 even when the loss ledger does not balance")
 	)
 	flag.Parse()
@@ -93,25 +84,16 @@ func main() {
 		gateways: *gateways,
 		interval: interval,
 		seed:     *seed,
+		scrape:   *scrape,
 		users:    make(map[int]struct{}),
 		hists:    map[string]*hist{},
 	}
 	report := benchReport{
-		Dataset: rd.Name(), Mode: *mode, Timestamps: rd.T(),
+		Dataset: rd.Name(), Timestamps: rd.T(),
 		Gateways: *gateways, Speed: *speed, TickMS: float64(*tick) / float64(time.Millisecond),
 	}
 
-	switch *mode {
-	case "http":
-		r.scrape = *scrape
-		err = r.replayHTTP(*curator, &report)
-	case "ingest":
-		err = r.replayIngest(retrasyn.Options{
-			Grid: g, Epsilon: *eps, Window: *w, Lambda: *lambda, Shards: *shards, Seed: *seed,
-		}, *maxBuf, &report)
-	default:
-		err = fmt.Errorf("unknown -mode %q (want \"http\" or \"ingest\")", *mode)
-	}
+	err = r.replayHTTP(*curator, &report)
 	if cerr := rc.Close(); err == nil {
 		err = cerr
 	}
@@ -127,8 +109,8 @@ func main() {
 	if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("loadgen: %s mode, %d timestamps, %d users, %d events in %.2fs (%.0f events/s, %.0f reports/s)\n",
-		report.Mode, report.Timestamps, report.Users, report.EventsEmitted,
+	fmt.Printf("loadgen: %d timestamps, %d users, %d events in %.2fs (%.0f events/s, %.0f reports/s)\n",
+		report.Timestamps, report.Users, report.EventsEmitted,
 		report.DurationSec, report.EventsPerSec, report.ReportsPerSec)
 	if rl, ok := report.Latency["round"]; ok {
 		fmt.Printf("loadgen: round latency p50=%s p99=%s max=%s; %d/%d rounds behind schedule\n",
@@ -161,15 +143,14 @@ func us(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
 // benchReport is the BENCH_replay.json schema.
 type benchReport struct {
 	Dataset    string  `json:"dataset"`
-	Mode       string  `json:"mode"`
 	Timestamps int     `json:"timestamps"`
 	Users      int     `json:"users"`
 	Gateways   int     `json:"gateways"`
 	Speed      float64 `json:"speed"`
 	TickMS     float64 `json:"tick_ms"`
 	// ReportBytesIn is the curator-measured request bytes the /v1/report
-	// endpoint ingested in http mode — the ledger that makes wire
-	// regressions visible per run.
+	// endpoint ingested — the ledger that makes wire regressions visible
+	// per run.
 	ReportBytesIn  int64   `json:"report_bytes_in,omitempty"`
 	BytesPerReport float64 `json:"bytes_per_report,omitempty"`
 
@@ -186,26 +167,25 @@ type benchReport struct {
 	MaxLagMS     float64 `json:"max_lag_ms"`
 
 	// ZeroLoss is the ledger verdict: every emitted event acknowledged by
-	// the receiving side's own counters, nothing skipped, nothing dropped.
+	// the curator's own counters, nothing skipped, nothing dropped.
 	ZeroLoss bool `json:"zero_loss"`
 
 	Latency map[string]latencySummary `json:"latency"`
 
-	// MetricsDelta (http mode with -scrape) is end-minus-start over the
+	// MetricsDelta (with -scrape) is end-minus-start over the
 	// curator's /metrics scalar samples — counters, gauges and histogram
 	// _sum/_count, keyed by the exposition series line.
 	MetricsDelta map[string]float64 `json:"metrics_delta,omitempty"`
-	// ReleaseDivergence (http mode with -scrape) is the utility monitor's
+	// ReleaseDivergence (with -scrape) is the utility monitor's
 	// end-of-run released-vs-estimated divergence gauges: the
 	// monitor.release_divergence{metric=...} values at the final scrape
 	// (absolute, not deltas — divergence is a level, not a rate).
 	ReleaseDivergence map[string]float64 `json:"release_divergence,omitempty"`
 
 	Curator *remote.StatsSnapshot `json:"curator,omitempty"`
-	Ingest  *service.Stats        `json:"ingest,omitempty"`
 }
 
-// run carries the replay state shared by both modes.
+// run carries the replay state.
 type run struct {
 	reader   *dataset.Reader
 	space    retrasyn.Discretizer
@@ -485,77 +465,5 @@ func (r *run) replayHTTP(baseURL string, report *benchReport) error {
 		st.PresenceEvents == r.eventsEmitted &&
 		int64(st.Reports) == r.reportsSent &&
 		st.Rounds == r.reader.T()
-	return nil
-}
-
-// replayIngest drives the stream through the service ingest layer over an
-// in-process engine, with each gateway shard acting as a producer.
-func (r *run) replayIngest(opts retrasyn.Options, maxPending int, report *benchReport) error {
-	fw, err := retrasyn.New(opts)
-	if err != nil {
-		return err
-	}
-	in := service.New(fw, service.Options{MaxPendingEvents: maxPending})
-	shardEvents := make([][]trajectory.Event, r.gateways)
-
-	submitLat, sealLat, roundLat := r.hist("submit"), r.hist("seal"), r.hist("round")
-	r.start = time.Now()
-	for {
-		batch, err := r.reader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			in.Close()
-			return err
-		}
-		t := batch.T
-		r.pace(t)
-		events, skipped := batch.Events(r.space, r.dom)
-		r.eventsEmitted += int64(len(events))
-		r.eventsSkipped += int64(skipped)
-		for i := range shardEvents {
-			shardEvents[i] = shardEvents[i][:0]
-		}
-		active := 0
-		for _, ev := range events {
-			i := ev.User % r.gateways
-			shardEvents[i] = append(shardEvents[i], ev)
-			if ev.State.Kind != transition.Quit {
-				active++
-			}
-			r.users[ev.User] = struct{}{}
-		}
-
-		roundStart := time.Now()
-		err = eachGateway(r.gateways, func(i int) error {
-			start := time.Now()
-			if err := in.Submit(t, shardEvents[i]); err != nil {
-				return err
-			}
-			submitLat.Observe(time.Since(start))
-			return nil
-		})
-		if err != nil {
-			in.Close()
-			return fmt.Errorf("t=%d submit: %w", t, err)
-		}
-		start := time.Now()
-		if err := in.Seal(t, active); err != nil {
-			in.Close()
-			return fmt.Errorf("t=%d: %w", t, err)
-		}
-		sealLat.Observe(time.Since(start))
-		roundLat.Observe(time.Since(roundStart))
-	}
-	if err := in.Close(); err != nil {
-		return err
-	}
-	st := in.Stats()
-	report.Ingest = &st
-	report.ZeroLoss = r.eventsSkipped == 0 &&
-		st.EventsAccepted == r.eventsEmitted &&
-		st.EventsDropped == 0 &&
-		st.TimestampsProcessed == int64(r.reader.T())
 	return nil
 }

@@ -5,12 +5,10 @@
 // a congestion alert when a district's synthetic density crosses a
 // threshold.
 //
-// This example drives the production ingest layer (internal/service) the
-// way a live deployment would: four regional gateways submit batched events
-// concurrently, the Ingestor's per-timestamp barrier serializes them onto
-// the engine, and halfway through the run the curator checkpoints itself,
-// "crashes", and resumes from the checkpoint — the released stream is
-// unaffected.
+// The curator feeds each timestamp's events to the engine as they arrive,
+// and halfway through the run it checkpoints itself, "crashes", and resumes
+// from the checkpoint — the released stream is unaffected. The congestion
+// queries go through the analytics engine over the live release.
 //
 // Run with:
 //
@@ -20,19 +18,14 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"retrasyn"
-	"retrasyn/internal/service"
 )
 
 const (
 	k         = 6
 	window    = 20
 	epsilon   = 1.0
-	gateways  = 4    // concurrent regional feeds
 	alertFrac = 0.12 // alert when one cell holds >12% of current vehicles
 )
 
@@ -70,27 +63,19 @@ func main() {
 	// holds exactly one transition state (enter / move / quit).
 	events, active := retrasyn.NewStreamEvents(orig)
 
-	fmt.Printf("monitoring %d timestamps of live traffic (ε=%.1f, w=%d, %d gateways)...\n\n",
-		orig.T, epsilon, window, gateways)
+	fmt.Printf("monitoring %d timestamps of live traffic (ε=%.1f, w=%d)...\n\n",
+		orig.T, epsilon, window)
 
 	half := orig.T / 2
-	in := service.New(fw, service.Options{})
 	alerts := 0
 
 	// First half of the stream, then checkpoint and "crash".
-	ingest(in, events, active, 0, half)
-	var cp *retrasyn.Checkpoint
-	if err := in.Quiesce(func() error {
-		var err error
-		cp, err = fw.Snapshot()
-		return err
-	}); err != nil {
+	process(fw, events, active, 0, half)
+	cp, err := fw.Snapshot()
+	if err != nil {
 		log.Fatal(err)
 	}
 	reportWindow(fw, g, 0, half, &alerts)
-	if err := in.Close(); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\n-- t=%d: curator checkpointed (%d shard states) and stopped; restoring --\n\n", cp.T, len(cp.States))
 
 	// A fresh process resumes from the checkpoint and ingests the rest.
@@ -98,110 +83,48 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in2 := service.New(fw2, service.Options{})
-	ingest(in2, events, active, half, orig.T)
-	if err := in2.Close(); err != nil {
-		log.Fatal(err)
-	}
+	process(fw2, events, active, half, orig.T)
 	reportWindow(fw2, g, half, orig.T, &alerts)
 
-	st := in2.Stats()
 	fmt.Printf("\n%d congestion alerts raised — all served from the private synthetic stream.\n", alerts)
-	fmt.Printf("ingest after restore: %d batches, %d events, %d backpressure waits\n",
-		st.BatchesAccepted, st.EventsAccepted, st.BackpressureWaits)
 
 	// Sanity: how faithful was the live hotspot view?
 	r := retrasyn.EvaluateUtility(orig, fw2.Synthetic("final"), g, retrasyn.UtilityOptions{Seed: 9})
 	fmt.Printf("hotspot NDCG vs ground truth: %.3f (1.0 = perfect ranking)\n", r.HotspotNDCG)
 }
 
-// ingest fans timestamps [from, to) of the event stream into the ingestor
-// from `gateways` concurrent producers, sealing each timestamp once every
-// gateway has submitted its regional batch.
-func ingest(in *service.Ingestor, events [][]retrasyn.Event, active []int, from, to int) {
-	var wg sync.WaitGroup
-	fanin := make([]atomic.Int32, len(events))
-	for gw := 0; gw < gateways; gw++ {
-		wg.Add(1)
-		go func(gw int) {
-			defer wg.Done()
-			for ts := from; ts < to; ts++ {
-				var batch []retrasyn.Event
-				for i := gw; i < len(events[ts]); i += gateways {
-					batch = append(batch, events[ts][i])
-				}
-				if err := in.Submit(ts, batch); err != nil {
-					log.Fatal(err)
-				}
-				if fanin[ts].Add(1) == gateways {
-					if err := in.Seal(ts, active[ts]); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-		}(gw)
+// process feeds timestamps [from, to) of the event stream to the engine,
+// one round per timestamp.
+func process(fw *retrasyn.Framework, events [][]retrasyn.Event, active []int, from, to int) {
+	for ts := from; ts < to; ts++ {
+		if err := fw.ProcessTimestamp(events[ts], active[ts]); err != nil {
+			log.Fatal(err)
+		}
 	}
-	wg.Wait()
 }
 
 // reportWindow serves congestion queries from the synthetic database for
 // timestamps [from, to).
 func reportWindow(fw *retrasyn.Framework, g *retrasyn.Grid, from, to int, alerts *int) {
-	syn := fw.Synthetic("live")
+	a := retrasyn.NewAnalytics(fw.Synthetic("live"), g)
 	for ts := from; ts < to; ts++ {
 		if (ts+1)%15 != 0 {
 			continue
 		}
-		counts := cellCountsAt(syn, ts, g)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
+		total := a.ActiveAt(ts)
 		if total == 0 {
 			continue
 		}
-		top := topCells(counts, 3)
+		top := a.TopCells(ts, ts, 3)
 		fmt.Printf("t=%2d | %4d vehicles | top districts:", ts, total)
 		for _, tc := range top {
-			row, col := g.RowCol(tc.cell)
-			fmt.Printf("  (%d,%d)=%d", row, col, tc.count)
+			row, col := g.RowCol(tc.Cell)
+			fmt.Printf("  (%d,%d)=%d", row, col, tc.Count)
 		}
-		if float64(top[0].count) > alertFrac*float64(total) {
+		if float64(top[0].Count) > alertFrac*float64(total) {
 			fmt.Printf("  ⚠ congestion alert")
 			*alerts++
 		}
 		fmt.Println()
 	}
-}
-
-type cellCount struct {
-	cell  retrasyn.Cell
-	count int
-}
-
-func cellCountsAt(d *retrasyn.Dataset, ts int, g *retrasyn.Grid) map[retrasyn.Cell]int {
-	counts := make(map[retrasyn.Cell]int, g.NumCells())
-	for _, tr := range d.Trajs {
-		if c, ok := tr.CellAt(ts); ok {
-			counts[c]++
-		}
-	}
-	return counts
-}
-
-func topCells(counts map[retrasyn.Cell]int, n int) []cellCount {
-	all := make([]cellCount, 0, len(counts))
-	for c, v := range counts {
-		all = append(all, cellCount{c, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].cell < all[j].cell
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
 }

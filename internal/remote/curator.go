@@ -8,6 +8,7 @@
 // Per-timestamp protocol, driven by a coordinator (e.g. a cron tick):
 //
 //  1. clients POST /v1/presence        — "I am present at timestamp t"
+//     (only between rounds, and only for the t the next Plan opens)
 //  2. coordinator POST /v1/plan        — curator recycles, samples, fixes ε_t
 //  3. clients POST /v1/assignments     — "am I sampled, at what budget?"
 //  4. sampled clients POST /v1/report  — locally perturbed OUE bits
@@ -72,7 +73,8 @@ type Curator struct {
 
 	// Wire state: who announced presence, and the open round's assignments
 	// and partial aggregate.
-	present        map[int]bool // users who announced presence for t
+	present        map[int]bool // users who announced presence for presentT
+	presentT       int          // the t present is collected for; -1 while unpinned
 	assignments    map[int]Assignment
 	agg            *ldp.Aggregator
 	oracle         *ldp.OUE
@@ -111,6 +113,7 @@ func NewCurator(cfg CuratorConfig) (*Curator, error) {
 		ctl:      ctl,
 		mon:      mon,
 		present:  make(map[int]bool),
+		presentT: -1,
 		reg:      reg,
 		metrics:  newCuratorMetrics(reg),
 		logger:   discardLogger(),
@@ -134,15 +137,26 @@ func (c *Curator) Ledger() *allocation.Ledger {
 }
 
 // PresenceBatch registers that users are present at timestamp t (have a
-// transition state to contribute); presence for a past timestamp is
-// rejected. Registration is a set operation, so the batch needs no
-// all-or-nothing staging and the call is safely retryable — re-announcing a
-// user is a no-op and is not double-counted.
+// transition state to contribute). The presence set belongs to one round:
+// presence while a round is open, for a past timestamp, or for another t
+// than the one the set is being collected for is rejected. Registration is a
+// set operation, so the batch needs no all-or-nothing staging and the call
+// is safely retryable — re-announcing a user is a no-op and is not
+// double-counted.
 func (c *Curator) PresenceBatch(users []int, t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, open := c.eng.Open(); open {
+		return fmt.Errorf("remote: presence for timestamp %d while round %d is open", t, c.eng.LastT())
+	}
 	if t <= c.eng.LastT() {
 		return fmt.Errorf("remote: presence for closed timestamp %d (current %d)", t, c.eng.LastT())
+	}
+	if !c.presentForLocked(t) {
+		return fmt.Errorf("remote: presence for timestamp %d while collecting for %d", t, c.presentT)
+	}
+	if len(users) > 0 {
+		c.presentT = t
 	}
 	for _, user := range users {
 		if !c.present[user] {
@@ -163,12 +177,23 @@ func (c *Curator) PresenceEvents() int64 {
 	return c.presenceEvents
 }
 
+// presentForLocked reports whether the presence set may serve timestamp t:
+// it is empty, unpinned (restored from a snapshot that did not record its
+// timestamp) or collected for t. Called under c.mu.
+func (c *Curator) presentForLocked(t int) bool {
+	return len(c.present) == 0 || c.presentT < 0 || c.presentT == t
+}
+
 // Plan closes presence collection for timestamp t and opens the round: the
 // engine recycles the window, quits the silent users, decides the round and
-// samples; the sample becomes the per-user assignments.
+// samples; the sample becomes the per-user assignments. A presence set
+// collected for another timestamp is refused, with nothing changed.
 func (c *Curator) Plan(t int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if !c.presentForLocked(t) {
+		return c.roundError("plan", t, fmt.Errorf("remote: Plan(%d) with presence collected for timestamp %d", t, c.presentT))
+	}
 	ids := c.idBuf[:0]
 	for id := range c.present {
 		ids = append(ids, id)
@@ -387,7 +412,7 @@ func (c *Curator) Finalize(t, activeCount int) error {
 	if err != nil {
 		return c.roundError("finalize", t, fmt.Errorf("remote: %w", err))
 	}
-	c.present = make(map[int]bool)
+	c.present, c.presentT = make(map[int]bool), -1
 	c.assignments, c.oracle, c.agg = nil, nil, nil
 	c.folded = c.folded[:0]
 	if res.Reported {

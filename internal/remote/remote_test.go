@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -254,6 +257,136 @@ func TestQuitInference(t *testing.T) {
 		}
 		if err := cur.Finalize(ts, 1); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestPresenceRefusedWhileRoundOpen: the presence set belongs to the round
+// Plan opens from it, so announcing for the next timestamp while a round is
+// open is refused and counts nothing; once the round closes, the same
+// announcement lands in the next round's pool.
+func TestPresenceRefusedWhileRoundOpen(t *testing.T) {
+	cur, _ := NewCurator(testConfig(testGrid()))
+	if err := cur.PresenceBatch([]int{1, 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Plan(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.PresenceBatch([]int{1, 2, 3}, 1); err == nil {
+		t.Fatal("presence for t=1 accepted while round 0 is open")
+	}
+	if n := cur.PresenceEvents(); n != 2 {
+		t.Fatalf("refused presence counted: %d events, want 2", n)
+	}
+	if err := cur.Finalize(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.PresenceBatch([]int{3, 4}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Plan(1); err != nil {
+		t.Fatal(err)
+	}
+	if round, _ := cur.eng.Open(); round.Pool != 2 {
+		t.Fatalf("round 1 pool %d, want the 2 users announced for it", round.Pool)
+	}
+}
+
+// TestPresenceForAnotherTimestampRefused: a presence set collected for t=7
+// takes no announcement for another timestamp, and Plan for another
+// timestamp refuses it without touching state. The set's timestamp survives
+// a snapshot; a snapshot that does not record it restores unpinned.
+func TestPresenceForAnotherTimestampRefused(t *testing.T) {
+	cur, _ := NewCurator(testConfig(testGrid()))
+	if err := cur.PresenceBatch([]int{5}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.PresenceBatch([]int{6}, 8); err == nil {
+		t.Fatal("presence for t=8 accepted into the set collected for t=7")
+	}
+	if err := cur.Plan(0); err == nil {
+		t.Fatal("Plan(0) accepted the presence set collected for t=7")
+	}
+	if _, open := cur.eng.Open(); open || cur.eng.LastT() != -1 || len(cur.present) != 1 {
+		t.Fatalf("refused Plan changed state: open %v, last t %d, %d present", open, cur.eng.LastT(), len(cur.present))
+	}
+
+	st, err := cur.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PresentT == nil || *st.PresentT != 7 {
+		t.Fatalf("snapshot present_t = %v, want 7", st.PresentT)
+	}
+	restored, _ := NewCurator(testConfig(testGrid()))
+	if err := restored.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.PresenceBatch([]int{6}, 8); err == nil {
+		t.Fatal("restored curator accepted presence for t=8 into the set collected for t=7")
+	}
+	if err := restored.Plan(7); err != nil {
+		t.Fatal(err)
+	}
+	if round, _ := restored.eng.Open(); round.Pool != 1 {
+		t.Fatalf("round 7 pool %d, want 1", round.Pool)
+	}
+	// An open round's set was collected for that round, not a later one.
+	mid, err := restored.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	*mid.PresentT = 8
+	if err := cur.Restore(mid); err == nil {
+		t.Fatal("restore accepted round 7's presence set as collected for t=8")
+	}
+
+	st.PresentT = nil
+	unpinned, _ := NewCurator(testConfig(testGrid()))
+	if err := unpinned.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := unpinned.Plan(0); err != nil {
+		t.Fatalf("unpinned restored set refused: %v", err)
+	}
+}
+
+// TestPresenceConflictsOverHTTP: both refusals answer 409 on the wire, and
+// so does a Plan for a timestamp the presence set was not collected for.
+func TestPresenceConflictsOverHTTP(t *testing.T) {
+	cur, _ := NewCurator(testConfig(testGrid()))
+	h := NewHandler(cur)
+	post := func(path, contentType string, body []byte) int {
+		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	presence := func(ts int, users ...int) int {
+		frame, err := encodeUsersFrame(frameKindPresence, ts, users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return post("/v1/presence", WireContentType, frame)
+	}
+	plan := func(ts int) int {
+		return post("/v1/plan", "application/json", []byte(fmt.Sprintf(`{"t":%d}`, ts)))
+	}
+	for _, step := range []struct {
+		name string
+		code int
+		want int
+	}{
+		{"presence t=1", presence(1, 1), http.StatusNoContent},
+		{"presence t=2 into the t=1 set", presence(2, 2), http.StatusConflict},
+		{"plan t=0 over the t=1 set", plan(0), http.StatusConflict},
+		{"plan t=1", plan(1), http.StatusNoContent},
+		{"presence t=2 during round 1", presence(2, 2), http.StatusConflict},
+	} {
+		if step.code != step.want {
+			t.Fatalf("%s answered %d, want %d", step.name, step.code, step.want)
 		}
 	}
 }

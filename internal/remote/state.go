@@ -36,6 +36,10 @@ type CuratorState struct {
 	Relayout *relayout.ControllerState `json:"relayout,omitempty"`
 
 	Present map[int]bool `json:"present"`
+	// PresentT is the timestamp Present is collected for, recorded when the
+	// set is non-empty. A snapshot without it leaves the set unpinned: the
+	// next announcement or Plan claims it, as before the field existed.
+	PresentT *int `json:"present_t,omitempty"`
 
 	// The open round's wire state (all empty between rounds): assignments
 	// not yet answered, the users whose reports were folded, and the partial
@@ -65,6 +69,10 @@ func (c *Curator) Snapshot() (*CuratorState, error) {
 		Present:     maps.Clone(c.present),
 		Assignments: maps.Clone(c.assignments),
 		Folded:      slices.Clone(c.folded),
+	}
+	if len(c.present) > 0 && c.presentT >= 0 {
+		presentT := c.presentT
+		st.PresentT = &presentT
 	}
 	if c.agg != nil {
 		st.AggCounts = c.agg.Counts()
@@ -111,7 +119,17 @@ func (c *Curator) Restore(st *CuratorState) error {
 	if st.AggCounts != nil && len(st.AggCounts) != d {
 		return fmt.Errorf("remote: snapshot aggregate length %d ≠ domain %d", len(st.AggCounts), d)
 	}
-	c.present = make(map[int]bool, len(st.Present))
+	presentT := -1
+	if st.PresentT != nil && len(st.Present) > 0 {
+		// An open round's set was collected for it; a closed one's for a
+		// timestamp still to come.
+		presentT = *st.PresentT
+		_, open := c.eng.Open()
+		if last := c.eng.LastT(); presentT < last || (presentT == last) != open {
+			return fmt.Errorf("remote: snapshot presence set for timestamp %d does not follow timestamp %d", presentT, last)
+		}
+	}
+	c.present, c.presentT = make(map[int]bool, len(st.Present)), presentT
 	maps.Copy(c.present, st.Present)
 	c.folded = append(c.folded[:0], st.Folded...)
 	c.assignments = maps.Clone(st.Assignments)
